@@ -17,46 +17,25 @@
 //! Additionally compares Levo's per-row predictor options (2-bit counter
 //! vs speculative PAp, §4.3).
 //!
-//! Usage: `ablation_future [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--engine decoded|interp] [--chunk-records N] [--probs predictor|trace|static] [--max-rss BYTES]`.
+//! Usage: `ablation_future [tiny|small|medium|large] [flags]`, flags as in
+//! [`dee_bench::SweepArgs`].
 
 use std::sync::Arc;
 
-use dee_bench::{
-    chunk_records_from_args, enforce_max_rss, engine_from_args, f2, max_rss_from_args, pool,
-    probs_from_args, scale_from_args, store_from_args, workloads_from_args, Suite, TextTable,
-};
+use dee_bench::{enforce_max_rss, f2, pool, SweepArgs, TextTable};
 use dee_ilpsim::{harmonic_mean, simulate, LatencyModel, Model, SimConfig};
 use dee_levo::{Levo, LevoConfig, PredictorKind};
 
 fn main() {
-    let scale = scale_from_args();
-    let jobs = pool::jobs_from_args();
-    let chunk = chunk_records_from_args();
-    let probs = probs_from_args();
-    let max_rss = max_rss_from_args();
-    eprintln!("loading suite at {scale:?}...");
-    let store = store_from_args();
-    let engine = engine_from_args();
-    let workloads = workloads_from_args();
-    let suite = Suite::load_selected_with(scale, &workloads, store.as_ref(), engine)
-        .unwrap_or_else(|e| panic!("--workloads: {e}"));
-    if let Some(store) = &store {
-        eprintln!("{}", store.stats().timing_line("ablation_future"));
-    }
+    let args = SweepArgs::from_env();
+    let (scale, jobs, probs) = (args.scale, args.jobs, args.probs);
+    let suite = args.load_suite("ablation_future");
     let p = suite.characteristic_accuracy_probs(probs);
     let et = 100;
 
     // Each trace is prepared exactly once and shared by the latency and
     // PE-limit sweeps (the serial version re-prepared per cell).
-    let prepared: Vec<Arc<_>> = pool::run_sweep(
-        "ablation_future_prepare",
-        jobs,
-        suite
-            .entries
-            .iter()
-            .map(|e| move || Arc::new(e.prepare_probs(chunk, probs)))
-            .collect(),
-    );
+    let prepared = args.prepare_all(&suite, "ablation_future");
     let num_b = prepared.len();
 
     println!(
@@ -189,8 +168,8 @@ fn main() {
     println!("{}", pred.render());
 
     let path = lat
-        .write_csv(&format!("ablation_future_{scale:?}.csv").to_lowercase())
+        .write_csv(&format!("ablation_future_{}.csv", scale.name()))
         .expect("csv");
     println!("wrote {}", path.display());
-    enforce_max_rss(max_rss);
+    enforce_max_rss(args.max_rss);
 }

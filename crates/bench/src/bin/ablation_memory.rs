@@ -9,34 +9,21 @@
 //! *equally slowed* sequential machine, so they isolate the models'
 //! latency tolerance.
 //!
-//! Usage: `ablation_memory [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--engine decoded|interp] [--chunk-records N] [--probs predictor|trace|static] [--max-rss BYTES]`.
+//! Usage: `ablation_memory [tiny|small|medium|large] [flags]`, flags as in
+//! [`dee_bench::SweepArgs`].
 
 use std::sync::Arc;
 
-use dee_bench::{
-    chunk_records_from_args, enforce_max_rss, engine_from_args, f2, max_rss_from_args, pct, pool,
-    probs_from_args, scale_from_args, store_from_args, workloads_from_args, Suite, TextTable,
-};
+use dee_bench::{enforce_max_rss, f2, pct, pool, SweepArgs, TextTable};
 use dee_ilpsim::{harmonic_mean, simulate, Model, SimConfig};
 use dee_mem::{annotate_latencies, CacheConfig, MemoryHierarchy};
 
 const MISS_PENALTY: u32 = 10;
 
 fn main() {
-    let scale = scale_from_args();
-    let jobs = pool::jobs_from_args();
-    let chunk = chunk_records_from_args();
-    let probs = probs_from_args();
-    let max_rss = max_rss_from_args();
-    eprintln!("loading suite at {scale:?}...");
-    let store = store_from_args();
-    let engine = engine_from_args();
-    let workloads = workloads_from_args();
-    let suite = Suite::load_selected_with(scale, &workloads, store.as_ref(), engine)
-        .unwrap_or_else(|e| panic!("--workloads: {e}"));
-    if let Some(store) = &store {
-        eprintln!("{}", store.stats().timing_line("ablation_memory"));
-    }
+    let args = SweepArgs::from_env();
+    let (scale, jobs, probs) = (args.scale, args.jobs, args.probs);
+    let suite = args.load_suite("ablation_memory");
     let p = suite.characteristic_accuracy_probs(probs);
     let et = 100;
 
@@ -101,15 +88,7 @@ fn main() {
     // Each benchmark is prepared once; a (memory system, benchmark) cell
     // clones the shared base (a cheap borrow copy), attaches that cache's
     // measured latencies, and runs all four models on it.
-    let prepared: Vec<Arc<_>> = pool::run_sweep(
-        "ablation_memory_prepare",
-        jobs,
-        suite
-            .entries
-            .iter()
-            .map(|e| move || Arc::new(e.prepare_probs(chunk, probs)))
-            .collect(),
-    );
+    let prepared = args.prepare_all(&suite, "ablation_memory");
     let models = [Model::Sp, Model::SpCdMf, Model::DeeCdMf, Model::Oracle];
     let num_b = prepared.len();
     let mut grid: Vec<(usize, usize)> = Vec::new();
@@ -152,8 +131,8 @@ fn main() {
     }
     println!("{}", t.render());
     let path = t
-        .write_csv(&format!("ablation_memory_{scale:?}.csv").to_lowercase())
+        .write_csv(&format!("ablation_memory_{}.csv", scale.name()))
         .expect("csv");
     println!("wrote {}", path.display());
-    enforce_max_rss(max_rss);
+    enforce_max_rss(args.max_rss);
 }

@@ -13,14 +13,12 @@
 //! that differ from the trace's measured accuracy, showing how mis-sizing
 //! the static tree costs performance.
 //!
-//! Usage: `ablation_p [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--engine decoded|interp] [--chunk-records N] [--probs predictor|trace|static] [--max-rss BYTES]`.
+//! Usage: `ablation_p [tiny|small|medium|large] [flags]`, flags as in
+//! [`dee_bench::SweepArgs`].
 
 use std::sync::Arc;
 
-use dee_bench::{
-    chunk_records_from_args, enforce_max_rss, engine_from_args, f2, max_rss_from_args, pool,
-    probs_from_args, scale_from_args, store_from_args, workloads_from_args, Suite, TextTable,
-};
+use dee_bench::{enforce_max_rss, f2, pool, SweepArgs, TextTable};
 use dee_core::{SpecTree, StaticTree, Strategy, TreeParams};
 use dee_ilpsim::{harmonic_mean, simulate, Model, SimConfig};
 
@@ -49,20 +47,9 @@ fn main() {
     }
     println!("{}", shape.render());
 
-    let scale = scale_from_args();
-    let jobs = pool::jobs_from_args();
-    let chunk = chunk_records_from_args();
-    let probs = probs_from_args();
-    let max_rss = max_rss_from_args();
-    eprintln!("loading suite at {scale:?}...");
-    let store = store_from_args();
-    let engine = engine_from_args();
-    let workloads = workloads_from_args();
-    let suite = Suite::load_selected_with(scale, &workloads, store.as_ref(), engine)
-        .unwrap_or_else(|e| panic!("--workloads: {e}"));
-    if let Some(store) = &store {
-        eprintln!("{}", store.stats().timing_line("ablation_p"));
-    }
+    let args = SweepArgs::from_env();
+    let (scale, jobs, probs) = (args.scale, args.jobs, args.probs);
+    let suite = args.load_suite("ablation_p");
     let measured = suite.characteristic_accuracy_probs(probs);
     println!(
         "DEE-CD-MF sensitivity to the assumed tree accuracy (measured p = {}):\n",
@@ -71,15 +58,7 @@ fn main() {
 
     // The serial version re-prepared every trace once per assumed p;
     // preparation is p-independent, so hoist it and share per workload.
-    let prepared: Vec<Arc<_>> = pool::run_sweep(
-        "ablation_p_prepare",
-        jobs,
-        suite
-            .entries
-            .iter()
-            .map(|e| move || Arc::new(e.prepare_probs(chunk, probs)))
-            .collect(),
-    );
+    let prepared = args.prepare_all(&suite, "ablation_p");
     let assumed_ps = [0.60, 0.75, measured, 0.95, 0.99];
     let num_b = prepared.len();
     let mut cells: Vec<(f64, usize)> = Vec::new();
@@ -119,8 +98,8 @@ fn main() {
     println!("{}", sens.render());
     let path = shape.write_csv("ablation_p_shape.csv").expect("csv");
     let spath = sens
-        .write_csv(&format!("ablation_p_sensitivity_{scale:?}.csv").to_lowercase())
+        .write_csv(&format!("ablation_p_sensitivity_{}.csv", scale.name()))
         .expect("csv");
     println!("wrote {} and {}", path.display(), spath.display());
-    enforce_max_rss(max_rss);
+    enforce_max_rss(args.max_rss);
 }

@@ -9,28 +9,26 @@
 //! own measured accuracy. The DEE advantage should survive every
 //! predictor, largest where prediction is worst.
 //!
-//! Usage: `ablation_predictor [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--engine decoded|interp] [--chunk-records N] [--probs predictor|trace|static] [--max-rss BYTES]`.
+//! Usage: `ablation_predictor [tiny|small|medium|large] [flags]`, flags as
+//! in [`dee_bench::SweepArgs`].
 //! `--probs trace` / `--probs static` append that direction source as an
 //! extra comparison row; the default rows (and the golden CSV) are
 //! unchanged.
 
-use dee_analyze::SpeculationPlan;
 use dee_bench::{
-    chunk_records_from_args, enforce_max_rss, engine_from_args, f2, max_rss_from_args, pct, pool,
-    probs_from_args, scale_from_args, store_from_args, workloads_from_args, BenchEntry, Suite,
-    TextTable,
+    enforce_max_rss, f2, pct, pool, prepare_probs, prepare_with, BenchEntry, SweepArgs, TextTable,
 };
-use dee_ilpsim::{harmonic_mean, simulate, DirectionPredictor, Model, ProbSource, SimConfig};
-use dee_predict::{BranchPredictor, Btfn, Gshare, PapAdaptive, TwoBitCounter};
+use dee_ilpsim::{harmonic_mean, simulate, Model, ProbSource, SimConfig};
+use dee_predict::{Btfn, Gshare, PapAdaptive, TwoBitCounter};
 
 /// Prepares one entry under one predictor kind; the prepared trace is
-/// shared by the SP-CD-MF and DEE-CD-MF simulations of the cell.
-fn run_cell(kind: &str, entry: &BenchEntry, et: u32, chunk: usize) -> (f64, f64, f64) {
-    let mut predictor: Box<dyn BranchPredictor> = match kind {
+/// shared by the SP-CD-MF and DEE-CD-MF simulations of the cell. Any kind
+/// not named here is the extra `--probs` row.
+fn run_cell(kind: &str, entry: &BenchEntry, et: u32, args: &SweepArgs) -> (f64, f64, f64) {
+    let (program, trace, chunk) = (&entry.workload.program, &entry.trace, args.chunk_records);
+    let prepared = match kind {
         "btfn" => {
-            let targets: Vec<(u32, u32)> = entry
-                .workload
-                .program
+            let targets: Vec<(u32, u32)> = program
                 .iter()
                 .filter_map(|(pc, i)| {
                     i.static_target()
@@ -38,17 +36,18 @@ fn run_cell(kind: &str, entry: &BenchEntry, et: u32, chunk: usize) -> (f64, f64,
                         .map(|t| (pc, t))
                 })
                 .collect();
-            Box::new(Btfn::new(&targets))
+            prepare_with(program, trace, chunk, &mut Btfn::new(&targets))
         }
-        "2bc" => Box::new(TwoBitCounter::new()),
-        "pap-spec" => Box::new(PapAdaptive::with_config(2, true)),
-        "profile-direction" => Box::new(DirectionPredictor::from_counts(&entry.direction_counts())),
-        "static-direction" => Box::new(DirectionPredictor::from_plan(&SpeculationPlan::build(
-            &entry.workload.program,
-        ))),
-        _ => Box::new(Gshare::default()),
+        "2bc" => prepare_with(program, trace, chunk, &mut TwoBitCounter::new()),
+        "pap-spec" => prepare_with(
+            program,
+            trace,
+            chunk,
+            &mut PapAdaptive::with_config(2, true),
+        ),
+        "gshare" => prepare_with(program, trace, chunk, &mut Gshare::default()),
+        _ => prepare_probs(program, trace, chunk, args.probs),
     };
-    let prepared = entry.prepare_chunked_with(chunk, predictor.as_mut());
     let p = prepared.accuracy();
     let sp = simulate(&prepared, &SimConfig::new(Model::SpCdMf, et).with_p(p)).speedup();
     let dee = simulate(&prepared, &SimConfig::new(Model::DeeCdMf, et).with_p(p)).speedup();
@@ -56,25 +55,13 @@ fn run_cell(kind: &str, entry: &BenchEntry, et: u32, chunk: usize) -> (f64, f64,
 }
 
 fn main() {
-    let scale = scale_from_args();
-    let jobs = pool::jobs_from_args();
-    let chunk = chunk_records_from_args();
-    let probs = probs_from_args();
-    let max_rss = max_rss_from_args();
-    eprintln!("loading suite at {scale:?}...");
-    let store = store_from_args();
-    let engine = engine_from_args();
-    let workloads = workloads_from_args();
-    let suite = Suite::load_selected_with(scale, &workloads, store.as_ref(), engine)
-        .unwrap_or_else(|e| panic!("--workloads: {e}"));
-    if let Some(store) = &store {
-        eprintln!("{}", store.stats().timing_line("ablation_predictor"));
-    }
+    let args = SweepArgs::from_env();
+    let suite = args.load_suite("ablation_predictor");
     let et = 100;
 
     println!("Predictor tradeoff at E_T = {et} (harmonic means):\n");
     let mut kinds: Vec<&str> = vec!["btfn", "2bc", "pap-spec", "gshare"];
-    match probs {
+    match args.probs {
         ProbSource::Predictor => {}
         ProbSource::Trace => kinds.push("profile-direction"),
         ProbSource::Static => kinds.push("static-direction"),
@@ -87,10 +74,13 @@ fn main() {
     }
     let flat = pool::run_sweep(
         "ablation_predictor",
-        jobs,
+        args.jobs,
         cells
             .iter()
-            .map(|&(kind, entry)| move || run_cell(kind, entry, et, chunk))
+            .map(|&(kind, entry)| {
+                let args = &args;
+                move || run_cell(kind, entry, et, args)
+            })
             .collect(),
     );
 
@@ -116,8 +106,8 @@ fn main() {
         "(§5.1: \"some use of DEE is likely to be beneficial, regardless of the\n predictor accuracy\" — the DEE column should dominate on every row)"
     );
     let path = t
-        .write_csv(&format!("ablation_predictor_{scale:?}.csv").to_lowercase())
+        .write_csv(&format!("ablation_predictor_{}.csv", args.scale.name()))
         .expect("csv");
     println!("wrote {}", path.display());
-    enforce_max_rss(max_rss);
+    enforce_max_rss(args.max_rss);
 }

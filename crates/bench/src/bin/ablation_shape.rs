@@ -8,32 +8,19 @@
 //! E_T = 100 and sweeps `h_DEE` directly (with `l = E_T − h(h+1)/2`),
 //! comparing each shape's DEE-CD-MF speedup against the heuristic's pick.
 //!
-//! Usage: `ablation_shape [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--engine decoded|interp] [--chunk-records N] [--probs predictor|trace|static] [--max-rss BYTES]`.
+//! Usage: `ablation_shape [tiny|small|medium|large] [flags]`, flags as in
+//! [`dee_bench::SweepArgs`].
 
 use std::sync::Arc;
 
-use dee_bench::{
-    chunk_records_from_args, enforce_max_rss, engine_from_args, f2, max_rss_from_args, pool,
-    probs_from_args, scale_from_args, store_from_args, workloads_from_args, Suite, TextTable,
-};
+use dee_bench::{enforce_max_rss, f2, pool, SweepArgs, TextTable};
 use dee_core::{StaticTree, TreeParams};
 use dee_ilpsim::{harmonic_mean, simulate, Model, SimConfig};
 
 fn main() {
-    let scale = scale_from_args();
-    let jobs = pool::jobs_from_args();
-    let chunk = chunk_records_from_args();
-    let probs = probs_from_args();
-    let max_rss = max_rss_from_args();
-    eprintln!("loading suite at {scale:?}...");
-    let store = store_from_args();
-    let engine = engine_from_args();
-    let workloads = workloads_from_args();
-    let suite = Suite::load_selected_with(scale, &workloads, store.as_ref(), engine)
-        .unwrap_or_else(|e| panic!("--workloads: {e}"));
-    if let Some(store) = &store {
-        eprintln!("{}", store.stats().timing_line("ablation_shape"));
-    }
+    let args = SweepArgs::from_env();
+    let (scale, jobs, probs) = (args.scale, args.jobs, args.probs);
+    let suite = args.load_suite("ablation_shape");
     let p = suite.characteristic_accuracy_probs(probs);
     let et = 100u32;
     let heuristic = StaticTree::build(TreeParams {
@@ -50,15 +37,7 @@ fn main() {
 
     // Each trace is prepared once (the serial version re-prepared it for
     // every swept h, and again for the heuristic comparison).
-    let prepared: Vec<Arc<_>> = pool::run_sweep(
-        "ablation_shape_prepare",
-        jobs,
-        suite
-            .entries
-            .iter()
-            .map(|e| move || Arc::new(e.prepare_probs(chunk, probs)))
-            .collect(),
-    );
+    let prepared = args.prepare_all(&suite, "ablation_shape");
     let hs: Vec<u32> = [0u32, 2, 4, 6, 8, 10, 11, 12, 13]
         .into_iter()
         .filter(|h| h * (h + 1) / 2 < et)
@@ -119,8 +98,8 @@ fn main() {
         100.0 * (1.0 - hm_of_shape(shapes.len() - 1) / best.1)
     );
     let path = t
-        .write_csv(&format!("ablation_shape_{scale:?}.csv").to_lowercase())
+        .write_csv(&format!("ablation_shape_{}.csv", scale.name()))
         .expect("csv");
     println!("wrote {}", path.display());
-    enforce_max_rss(max_rss);
+    enforce_max_rss(args.max_rss);
 }

@@ -2,8 +2,9 @@
 //! five benchmarks, plus the harmonic mean and per-benchmark oracle
 //! speedups.
 //!
-//! Usage: `fig5 [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--engine decoded|interp] [--chunk-records N] [--probs predictor|trace|static] [--max-rss BYTES]` (default small; the
-//! paper-grade run is `medium`). Writes `results/fig5_<scale>.csv`.
+//! Usage: `fig5 [tiny|small|medium|large] [flags]` (default small; the
+//! paper-grade run is `medium`); flags as in [`dee_bench::SweepArgs`].
+//! Writes `results/fig5_<scale>.csv` and `.svg`.
 //!
 //! The DEE tree shape uses the suite's measured characteristic accuracy,
 //! following §3.1 step 1 (the paper measured 90.53% on SPECint92 with the
@@ -16,28 +17,23 @@
 use std::sync::Arc;
 
 use dee_bench::plot::{render_panels, write_svg, Panel, Series};
-use dee_bench::{
-    chunk_records_from_args, enforce_max_rss, engine_from_args, f2, max_rss_from_args, pool,
-    probs_from_args, scale_from_args, store_from_args, workloads_from_args, Suite, TextTable,
-    FIG5_RESOURCES,
-};
+use dee_bench::{enforce_max_rss, f2, pool, SweepArgs, TextTable, FIG5_RESOURCES};
 use dee_ilpsim::{harmonic_mean, simulate, Model, SimConfig};
+use dee_workloads::PAPER_WORKLOADS;
+
+/// Figure 5's per-benchmark oracle speedups, from the paper's captions.
+const PAPER_ORACLE: [(&str, &str); 5] = [
+    ("cc1", "23.22"),
+    ("compress", "25.86"),
+    ("eqntott", "2810.48"),
+    ("espresso", "815.62"),
+    ("xlisp", "104.35"),
+];
 
 fn main() {
-    let scale = scale_from_args();
-    let jobs = pool::jobs_from_args();
-    let chunk = chunk_records_from_args();
-    let probs = probs_from_args();
-    let max_rss = max_rss_from_args();
-    eprintln!("loading suite at {scale:?}...");
-    let store = store_from_args();
-    let engine = engine_from_args();
-    let workloads = workloads_from_args();
-    let suite = Suite::load_selected_with(scale, &workloads, store.as_ref(), engine)
-        .unwrap_or_else(|e| panic!("--workloads: {e}"));
-    if let Some(store) = &store {
-        eprintln!("{}", store.stats().timing_line("fig5"));
-    }
+    let args = SweepArgs::from_env();
+    let (scale, jobs, probs) = (args.scale, args.jobs, args.probs);
+    let suite = args.load_suite("fig5");
     let p = suite.characteristic_accuracy_probs(probs);
     println!("Figure 5 — speedup vs branch-path resources ({scale:?} scale)");
     println!(
@@ -49,15 +45,7 @@ fn main() {
     let models = Model::all_constrained();
 
     // One prepared trace per workload, shared by every cell below.
-    let prepared: Vec<Arc<_>> = pool::run_sweep(
-        "fig5_prepare",
-        jobs,
-        suite
-            .entries
-            .iter()
-            .map(|e| move || Arc::new(e.prepare_probs(chunk, probs)))
-            .collect(),
-    );
+    let prepared = args.prepare_all(&suite, "fig5");
 
     // Cell grid: the oracle for each benchmark, then (benchmark, model,
     // E_T). Results come back in exactly this order regardless of --jobs.
@@ -154,16 +142,17 @@ fn main() {
     println!("{}", hm_table.render());
 
     let mut oracle_table = TextTable::new(&["benchmark", "oracle (measured)", "oracle (paper)"]);
-    let paper_oracle = ["23.22", "25.86", "2810.48", "815.62", "104.35"];
-    for (entry, (oracle, paper)) in suite
-        .entries
-        .iter()
-        .zip(oracles.iter().zip(paper_oracle.iter()))
-    {
+    let paper_oracle = |name: &str| {
+        PAPER_ORACLE
+            .iter()
+            .find(|(paper_name, _)| *paper_name == name)
+            .map_or("—", |&(_, value)| value)
+    };
+    for (entry, oracle) in suite.entries.iter().zip(&oracles) {
         oracle_table.row(vec![
             entry.workload.name.clone(),
             f2(*oracle),
-            (*paper).into(),
+            paper_oracle(&entry.workload.name).into(),
         ]);
         csv.row(vec![
             entry.workload.name.clone(),
@@ -172,12 +161,18 @@ fn main() {
             format!("{oracle:.4}"),
         ]);
     }
-    oracle_table.row(vec!["harmonic-mean".into(), f2(hm_oracle), "53.82".into()]);
+    // The paper's harmonic mean is over exactly its five benchmarks.
+    let paper_five = suite.entries.len() == PAPER_WORKLOADS.len()
+        && PAPER_WORKLOADS
+            .iter()
+            .all(|w| suite.entries.iter().any(|e| e.workload.name == *w));
+    let paper_hm = if paper_five { "53.82" } else { "—" };
+    oracle_table.row(vec!["harmonic-mean".into(), f2(hm_oracle), paper_hm.into()]);
     println!("Oracle speedups (paper values from Figure 5 captions):");
     println!("{}", oracle_table.render());
 
     let path = csv
-        .write_csv(&format!("fig5_{scale:?}.csv").to_lowercase())
+        .write_csv(&format!("fig5_{}.csv", scale.name()))
         .expect("csv");
     println!("wrote {}", path.display());
 
@@ -221,7 +216,7 @@ fn main() {
             .collect(),
     });
     let svg = render_panels(&panels, &FIG5_RESOURCES);
-    let svg_path = write_svg(&format!("fig5_{scale:?}.svg").to_lowercase(), &svg).expect("svg");
+    let svg_path = write_svg(&format!("fig5_{}.svg", scale.name()), &svg).expect("svg");
     println!("wrote {}", svg_path.display());
-    enforce_max_rss(max_rss);
+    enforce_max_rss(args.max_rss);
 }

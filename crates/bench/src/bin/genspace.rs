@@ -19,15 +19,14 @@
 //! reproduces the program). Output is byte-identical for any `--jobs`;
 //! `results/genspace_tiny.csv` is a committed golden.
 //!
-//! Usage: `genspace [tiny|small|medium|large] [--jobs N] [--store DIR] [--engine decoded|interp] [--probs predictor|trace|static]`.
+//! Usage: `genspace [tiny|small|medium|large] [flags]`, flags as in
+//! [`dee_bench::SweepArgs`]; `--workloads` does not apply to the generated
+//! grid.
 //! With a non-default `--probs` the per-point accuracy (and so the tree
 //! shape and mispredict marking) comes from that source instead of the
 //! replayed 2-bit counter; the committed golden uses the default.
 
-use dee_bench::{
-    engine_from_args, f2, pct, pool, prepare_trace_probs, probs_from_args, scale_from_args,
-    store_from_args, TextTable,
-};
+use dee_bench::{enforce_max_rss, f2, pct, pool, prepare_probs, SweepArgs, TextTable};
 use dee_gen::{generate_with, GenSpec};
 use dee_ilpsim::{simulate, Model, SimConfig};
 use dee_store::{ArtifactKey, StoreSource};
@@ -81,12 +80,9 @@ struct Cell {
 }
 
 fn main() {
-    let scale = scale_from_args();
-    let jobs = pool::jobs_from_args();
-    let store = store_from_args();
-    let engine = engine_from_args();
-    let probs = probs_from_args();
-    let scale_tag = format!("{scale:?}").to_ascii_lowercase();
+    let args = SweepArgs::from_env();
+    let (scale, engine, chunk, probs) = (args.scale, args.engine, args.chunk_records, args.probs);
+    let store = args.open_store();
 
     let points: Vec<(f64, u64)> = PREDS
         .iter()
@@ -100,11 +96,10 @@ fn main() {
     let store_ref = store.as_ref();
     let cells: Vec<Cell> = pool::run_sweep(
         "genspace",
-        jobs,
+        args.jobs,
         points
             .iter()
             .map(|&(pred, seed)| {
-                let scale_tag = scale_tag.clone();
                 move || {
                     let spec = spec_at(pred, scale);
                     let g = generate_with(&spec, seed, engine)
@@ -118,7 +113,7 @@ fn main() {
                         Some(store) => {
                             let key = ArtifactKey::new(
                                 g.workload.name.as_str(),
-                                &scale_tag,
+                                scale.name(),
                                 &g.workload.program.to_listing(),
                                 &g.workload.initial_memory,
                             );
@@ -136,7 +131,7 @@ fn main() {
                             }
                         }
                     };
-                    let prepared = prepare_trace_probs(&g.workload.program, &trace, probs);
+                    let prepared = prepare_probs(&g.workload.program, &trace, chunk, probs);
                     let accuracy = prepared.accuracy();
                     // The static-tree builder requires p in [0.5, 1); at
                     // the coin-flip end of the grid the measured accuracy
@@ -227,7 +222,8 @@ fn main() {
     println!("{}", axis.render());
 
     let path = csv
-        .write_csv(&format!("genspace_{scale_tag}.csv"))
+        .write_csv(&format!("genspace_{}.csv", scale.name()))
         .expect("csv");
     println!("wrote {}", path.display());
+    enforce_max_rss(args.max_rss);
 }

@@ -9,7 +9,8 @@
 //! * DEE-CD-MF @ 32 stays high (paper: 26×, the "Levo could be built with
 //!   only 32 branch paths" observation).
 //!
-//! Usage: `headline [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--engine decoded|interp] [--chunk-records N] [--probs predictor|trace|static] [--max-rss BYTES]`.
+//! Usage: `headline [tiny|small|medium|large] [flags]`, flags as in
+//! [`dee_bench::SweepArgs`].
 //!
 //! Each benchmark is prepared once and shared across all nine statistic
 //! points via [`dee_bench::pool`]; output is byte-identical for any
@@ -17,10 +18,7 @@
 
 use std::sync::Arc;
 
-use dee_bench::{
-    chunk_records_from_args, enforce_max_rss, engine_from_args, f2, max_rss_from_args, pool,
-    probs_from_args, scale_from_args, store_from_args, workloads_from_args, Suite, TextTable,
-};
+use dee_bench::{enforce_max_rss, f2, pool, SweepArgs, TextTable};
 use dee_ilpsim::{harmonic_mean, simulate, Model, SimConfig};
 
 /// The nine (model, E_T) statistic points, in reporting order. The oracle
@@ -38,32 +36,13 @@ const POINTS: [(Model, u32); 9] = [
 ];
 
 fn main() {
-    let scale = scale_from_args();
-    let jobs = pool::jobs_from_args();
-    let chunk = chunk_records_from_args();
-    let probs = probs_from_args();
-    let max_rss = max_rss_from_args();
-    eprintln!("loading suite at {scale:?}...");
-    let store = store_from_args();
-    let engine = engine_from_args();
-    let workloads = workloads_from_args();
-    let suite = Suite::load_selected_with(scale, &workloads, store.as_ref(), engine)
-        .unwrap_or_else(|e| panic!("--workloads: {e}"));
-    if let Some(store) = &store {
-        eprintln!("{}", store.stats().timing_line("headline"));
-    }
+    let args = SweepArgs::from_env();
+    let (scale, jobs, probs) = (args.scale, args.jobs, args.probs);
+    let suite = args.load_suite("headline");
     let p = suite.characteristic_accuracy_probs(probs);
 
     eprintln!("simulating...");
-    let prepared: Vec<Arc<_>> = pool::run_sweep(
-        "headline_prepare",
-        jobs,
-        suite
-            .entries
-            .iter()
-            .map(|e| move || Arc::new(e.prepare_probs(chunk, probs)))
-            .collect(),
-    );
+    let prepared = args.prepare_all(&suite, "headline");
 
     let num_b = prepared.len();
     let mut cells: Vec<(usize, Model, u32)> = Vec::new();
@@ -141,8 +120,8 @@ fn main() {
     ]);
     println!("{}", t.render());
     let path = t
-        .write_csv(&format!("headline_{scale:?}.csv").to_lowercase())
+        .write_csv(&format!("headline_{}.csv", scale.name()))
         .expect("csv");
     println!("wrote {}", path.display());
-    enforce_max_rss(max_rss);
+    enforce_max_rss(args.max_rss);
 }

@@ -7,21 +7,20 @@
 //! model — every configuration is validated to produce bit-identical
 //! program output.
 //!
-//! Usage: `levo_eval [tiny|small|medium|large] [--jobs N] [--probs predictor|trace|static] [--max-rss BYTES]`
-//! (default small; Levo is a detailed model, so large scales take a while).
+//! Usage: `levo_eval [tiny|small|medium|large] [flags]`, flags as in
+//! [`dee_bench::SweepArgs`] (default small; Levo is a detailed model, so
+//! large scales take a while). Levo executes the paper five itself, so
+//! `--store`, `--engine`, `--workloads` and `--chunk-records` do not
+//! apply.
 //! Levo's per-row predictors are execution-driven, so `--probs` does not
 //! reshape the machine; `--probs static` appends a static-plan preview
 //! table (expected accuracy and the E_T = 32 tree shape the plan would
 //! pick) for comparison against the measured machine, and `--probs trace`
 //! previews the trace-oracle majority-direction accuracy the same way.
 
-use dee_analyze::SpeculationPlan;
-use dee_bench::{
-    enforce_max_rss, f2, max_rss_from_args, pct, pool, probs_from_args, scale_from_args,
-    trace_direction_counts, TextTable,
-};
+use dee_bench::{enforce_max_rss, f2, pct, pool, probs_accuracy, SweepArgs, TextTable};
 use dee_core::{StaticTree, TreeParams};
-use dee_ilpsim::{DirectionPredictor, ProbSource};
+use dee_ilpsim::ProbSource;
 use dee_levo::{Levo, LevoConfig};
 use dee_workloads::{all_workloads, Scale, Workload};
 
@@ -39,10 +38,8 @@ fn run_validated(w: &Workload, config: LevoConfig, what: &str) -> dee_levo::Levo
 }
 
 fn main() {
-    let scale = scale_from_args();
-    let jobs = pool::jobs_from_args();
-    let probs = probs_from_args();
-    let max_rss = max_rss_from_args();
+    let args = SweepArgs::from_env();
+    let (scale, jobs, probs) = (args.scale, args.jobs, args.probs);
     let workloads = all_workloads(scale);
 
     println!("Levo machine model ({scale:?} scale)\n");
@@ -182,13 +179,8 @@ fn main() {
         );
         let mut pv = TextTable::new(&["benchmark", "accuracy", "l (main line)", "h_DEE"]);
         for w in &workloads {
-            let acc = if probs == ProbSource::Static {
-                SpeculationPlan::build(&w.program).expected_accuracy
-            } else {
-                let trace = w.validate().unwrap_or_else(|e| panic!("{}: {e}", w.name));
-                let counts = trace_direction_counts(&trace);
-                DirectionPredictor::from_counts(&counts).accuracy_over(&counts)
-            };
+            let trace = w.validate().unwrap_or_else(|e| panic!("{}: {e}", w.name));
+            let acc = probs_accuracy(&w.program, &trace, probs);
             let tree = StaticTree::build(TreeParams {
                 p: acc.clamp(0.5, 0.9999),
                 et: 32,
@@ -204,9 +196,9 @@ fn main() {
     }
 
     let path = t
-        .write_csv(&format!("levo_eval_{scale:?}.csv").to_lowercase())
+        .write_csv(&format!("levo_eval_{}.csv", scale.name()))
         .expect("csv");
     println!("wrote {}", path.display());
     let _ = Scale::all(); // keep Scale in scope for docs
-    enforce_max_rss(max_rss);
+    enforce_max_rss(args.max_rss);
 }

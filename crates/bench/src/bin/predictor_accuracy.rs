@@ -11,12 +11,11 @@
 //!   that needs each outcome before the next prediction degrades, while
 //!   PAp with *speculative* history update holds its accuracy.
 //!
-//! Usage: `predictor_accuracy [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--engine decoded|interp] [--probs predictor|trace|static] [--max-rss BYTES]`.
+//! Usage: `predictor_accuracy [tiny|small|medium|large] [flags]`, flags as
+//! in [`dee_bench::SweepArgs`]; `--chunk-records` does not apply (nothing
+//! is prepared).
 
-use dee_bench::{
-    enforce_max_rss, engine_from_args, max_rss_from_args, pct, pool, probs_from_args,
-    scale_from_args, store_from_args, workloads_from_args, Suite, TextTable,
-};
+use dee_bench::{enforce_max_rss, pct, pool, SweepArgs, TextTable};
 use dee_isa::Program;
 use dee_predict::{
     measure_accuracy, measure_accuracy_delayed, AlwaysTaken, BranchPredictor, Btfn, Gshare,
@@ -49,19 +48,9 @@ fn make_predictor(kind: &str, program: &Program) -> Box<dyn BranchPredictor> {
 }
 
 fn main() {
-    let scale = scale_from_args();
-    let jobs = pool::jobs_from_args();
-    let probs = probs_from_args();
-    let max_rss = max_rss_from_args();
-    eprintln!("loading suite at {scale:?}...");
-    let store = store_from_args();
-    let engine = engine_from_args();
-    let workloads = workloads_from_args();
-    let suite = Suite::load_selected_with(scale, &workloads, store.as_ref(), engine)
-        .unwrap_or_else(|e| panic!("--workloads: {e}"));
-    if let Some(store) = &store {
-        eprintln!("{}", store.stats().timing_line("predictor_accuracy"));
-    }
+    let args = SweepArgs::from_env();
+    let (scale, jobs, probs) = (args.scale, args.jobs, args.probs);
+    let suite = args.load_suite("predictor_accuracy");
 
     println!("Predictor accuracy per benchmark ({scale:?} scale)\n");
     // The sixth SPECint92 benchmark, excluded by the paper as "more
@@ -157,11 +146,11 @@ fn main() {
     println!("{}", d.render());
 
     let path = t
-        .write_csv(&format!("predictor_accuracy_{scale:?}.csv").to_lowercase())
+        .write_csv(&format!("predictor_accuracy_{}.csv", scale.name()))
         .expect("csv");
     let dpath = d
-        .write_csv(&format!("predictor_delay_{scale:?}.csv").to_lowercase())
+        .write_csv(&format!("predictor_delay_{}.csv", scale.name()))
         .expect("csv");
     println!("wrote {} and {}", path.display(), dpath.display());
-    enforce_max_rss(max_rss);
+    enforce_max_rss(args.max_rss);
 }

@@ -13,30 +13,17 @@
 //! the -MF models spread slightly deeper but stay concentrated at the top
 //! of the tree, which is what makes the DEE paths effective.
 //!
-//! Usage: `resolve_location [tiny|small|medium|large] [--jobs N] [--store DIR] [--workloads LIST] [--engine decoded|interp] [--chunk-records N] [--probs predictor|trace|static] [--max-rss BYTES]`.
+//! Usage: `resolve_location [tiny|small|medium|large] [flags]`, flags as in
+//! [`dee_bench::SweepArgs`].
 
-use dee_bench::{
-    chunk_records_from_args, enforce_max_rss, engine_from_args, f2, max_rss_from_args, pct, pool,
-    probs_from_args, scale_from_args, store_from_args, workloads_from_args, Suite, TextTable,
-};
+use dee_bench::{enforce_max_rss, f2, pct, pool, prepare_probs, SweepArgs, TextTable};
 use dee_core::{StaticTree, TreeParams};
 use dee_ilpsim::{simulate, Model, SimConfig};
 
 fn main() {
-    let scale = scale_from_args();
-    let jobs = pool::jobs_from_args();
-    let chunk = chunk_records_from_args();
-    let probs = probs_from_args();
-    let max_rss = max_rss_from_args();
-    eprintln!("loading suite at {scale:?}...");
-    let store = store_from_args();
-    let engine = engine_from_args();
-    let workloads = workloads_from_args();
-    let suite = Suite::load_selected_with(scale, &workloads, store.as_ref(), engine)
-        .unwrap_or_else(|e| panic!("--workloads: {e}"));
-    if let Some(store) = &store {
-        eprintln!("{}", store.stats().timing_line("resolve_location"));
-    }
+    let args = SweepArgs::from_env();
+    let (scale, jobs, chunk, probs) = (args.scale, args.jobs, args.chunk_records, args.probs);
+    let suite = args.load_suite("resolve_location");
     let p = suite.characteristic_accuracy_probs(probs);
     let et = 100;
     let tree = StaticTree::build(TreeParams {
@@ -69,7 +56,8 @@ fn main() {
             .iter()
             .map(|entry| {
                 move || {
-                    let prepared = entry.prepare_probs(chunk, probs);
+                    let prepared =
+                        prepare_probs(&entry.workload.program, &entry.trace, chunk, probs);
                     simulate(&prepared, &SimConfig::new(Model::DeeCdMf, et).with_p(p))
                         .resolve_level_histogram
                 }
@@ -98,10 +86,10 @@ fn main() {
         }
     }
     let path = t
-        .write_csv(&format!("resolve_location_{scale:?}.csv").to_lowercase())
+        .write_csv(&format!("resolve_location_{}.csv", scale.name()))
         .expect("csv");
     println!("\nwrote {}", path.display());
-    enforce_max_rss(max_rss);
+    enforce_max_rss(args.max_rss);
 }
 
 fn stat_row(name: &str, hist: &[u64], h: u32) -> Vec<String> {

@@ -19,15 +19,16 @@
 //!    speedup the static plan gives up (or gains) against the 2-bit
 //!    counter.
 //!
-//! Usage: `static_probs [tiny|small|medium|large] [--jobs N] [--max-rss BYTES]`.
+//! Usage: `static_probs [tiny|small|medium|large] [flags]`, flags as in
+//! [`dee_bench::SweepArgs`]; `--workloads` and `--probs` do not apply,
+//! since every registry workload is compared under every source.
 //! Writes `results/static_probs_<scale>.csv`; `results/static_probs_tiny.csv`
 //! is a committed golden, byte-identical for any `--jobs` count.
 
 use dee_analyze::plan::DEFAULT_TOLERANCE;
 use dee_analyze::{verify_plan, SpeculationPlan};
 use dee_bench::{
-    enforce_max_rss, f2, max_rss_from_args, pct, pool, prepare_trace_probs, scale_from_args,
-    trace_direction_counts, TextTable,
+    enforce_max_rss, f2, pct, pool, prepare_probs, trace_direction_counts, SweepArgs, TextTable,
 };
 use dee_ilpsim::{simulate, Model, ProbSource, SimConfig};
 use dee_predict::{measure_accuracy, TwoBitCounter};
@@ -55,9 +56,8 @@ struct Cell {
 }
 
 fn main() {
-    let scale = scale_from_args();
-    let jobs = pool::jobs_from_args();
-    let max_rss = max_rss_from_args();
+    let args = SweepArgs::from_env();
+    let (scale, chunk) = (args.scale, args.chunk_records);
     let registry = WorkloadRegistry::builtin();
     let names: Vec<String> = registry.names().iter().map(|s| s.to_string()).collect();
     eprintln!(
@@ -69,7 +69,7 @@ fn main() {
     let registry_ref = &registry;
     let cells: Vec<Cell> = pool::run_sweep(
         "static_probs",
-        jobs,
+        args.jobs,
         names
             .iter()
             .map(|name| {
@@ -108,7 +108,7 @@ fn main() {
                     let mut accuracy = [0.0f64; 3];
                     let mut speedup = [0.0f64; 3];
                     for (i, &probs) in sources.iter().enumerate() {
-                        let prepared = prepare_trace_probs(&w.program, &trace, probs);
+                        let prepared = prepare_probs(&w.program, &trace, chunk, probs);
                         let p = prepared.accuracy().clamp(0.5, 0.9999);
                         accuracy[i] = prepared.accuracy();
                         speedup[i] =
@@ -199,10 +199,10 @@ fn main() {
     }
 
     let path = t
-        .write_csv(&format!("static_probs_{scale:?}.csv").to_lowercase())
+        .write_csv(&format!("static_probs_{}.csv", scale.name()))
         .expect("csv");
     println!("wrote {}", path.display());
-    enforce_max_rss(max_rss);
+    enforce_max_rss(args.max_rss);
 }
 
 /// The trace-oracle Brier must lower-bound the static plan's on every

@@ -20,7 +20,7 @@
 use std::sync::atomic::Ordering;
 use std::time::Instant;
 
-use dee_bench::{store_from_args, TextTable};
+use dee_bench::TextTable;
 use dee_store::{ArtifactKey, Store};
 use dee_vm::{output_checksum, Engine, Trace};
 use dee_workloads::{all_workloads, Scale, Workload};
@@ -44,22 +44,40 @@ fn capture(workload: &Workload, engine: Engine) -> Trace {
         .unwrap_or_else(|e| panic!("{}: capture failed: {e}", workload.name))
 }
 
+/// Parses `[scale ...] [--store DIR]`: scales accumulate, and any other
+/// token is an error.
+fn parse_args(
+    mut args: impl Iterator<Item = String>,
+) -> Result<(Vec<Scale>, Option<String>), String> {
+    let mut scales = Vec::new();
+    let mut store = None;
+    while let Some(arg) = args.next() {
+        if let Some(scale) = Scale::parse(&arg) {
+            scales.push(scale);
+        } else if arg == "--store" {
+            store = Some(args.next().ok_or("--store needs a directory")?);
+        } else if let Some(dir) = arg.strip_prefix("--store=") {
+            store = Some(dir.to_string());
+        } else {
+            return Err(format!("unknown argument `{arg}`"));
+        }
+    }
+    Ok((scales, store))
+}
+
 fn main() {
-    let mut scales: Vec<Scale> = std::env::args()
-        .skip(1)
-        .filter_map(|a| match a.as_str() {
-            "tiny" => Some(Scale::Tiny),
-            "small" => Some(Scale::Small),
-            "medium" => Some(Scale::Medium),
-            "large" => Some(Scale::Large),
-            _ => None,
-        })
-        .collect();
+    let (mut scales, store_dir) = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}\nusage: store_replay [tiny|small|medium|large ...] [--store DIR]");
+        std::process::exit(2)
+    });
     if scales.is_empty() {
         scales = vec![Scale::Tiny, Scale::Small];
     }
-    let (store, scratch) = match store_from_args() {
-        Some(store) => (store, None),
+    let (store, scratch) = match store_dir {
+        Some(dir) => (
+            Store::open(&dir).unwrap_or_else(|e| panic!("--store {dir}: {e}")),
+            None,
+        ),
         None => {
             let dir = std::env::temp_dir().join(format!("dee_store_replay_{}", std::process::id()));
             (Store::open(&dir).expect("open scratch store"), Some(dir))
@@ -78,7 +96,6 @@ fn main() {
         "replay_speedup",
     ]);
     for &scale in &scales {
-        let tag = format!("{scale:?}").to_ascii_lowercase();
         let mut totals = [0.0f64; 3]; // interp, decoded, replay
         let mut total_records = 0usize;
         let mut total_bytes = 0u64;
@@ -88,7 +105,7 @@ fn main() {
 
             let key = ArtifactKey::new(
                 &workload.name,
-                &tag,
+                scale.name(),
                 &workload.program.to_listing(),
                 &workload.initial_memory,
             );
@@ -143,7 +160,7 @@ fn main() {
             total_records += fresh.len();
             total_bytes += bytes;
             table.row(vec![
-                tag.clone(),
+                scale.name().to_string(),
                 workload.name.to_string(),
                 fresh.len().to_string(),
                 bytes.to_string(),
@@ -155,7 +172,7 @@ fn main() {
             ]);
         }
         table.row(vec![
-            tag.clone(),
+            scale.name().to_string(),
             "(total)".to_string(),
             total_records.to_string(),
             total_bytes.to_string(),

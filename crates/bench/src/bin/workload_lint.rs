@@ -12,15 +12,15 @@
 //! Covers every registered workload — the paper five plus `synacor` and
 //! `sc` — not just the default suite.
 //!
-//! Usage: `workload_lint [tiny|small|medium|large]`.
+//! Usage: `workload_lint [tiny|small|medium|large]`; of the
+//! [`dee_bench::SweepArgs`] flags only the scale applies.
 
 use dee_analyze::{analyze, BranchCensus};
-use dee_bench::{f2, scale_from_args, TextTable};
+use dee_bench::{f2, SweepArgs, TextTable};
 use dee_workloads::WorkloadRegistry;
 
 fn main() {
-    let scale = scale_from_args();
-    let scale_tag = format!("{scale:?}").to_ascii_lowercase();
+    let scale = SweepArgs::from_env().scale;
     let mut table = TextTable::new(&[
         "workload",
         "scale",
@@ -44,7 +44,7 @@ fn main() {
         let loop_back = census.num_loop_back();
         table.row(vec![
             w.name.to_string(),
-            scale_tag.clone(),
+            scale.name().to_string(),
             w.program.len().to_string(),
             report.error_count().to_string(),
             report.warning_count().to_string(),

@@ -25,7 +25,10 @@
 //! | `static_probs` | static vs trace-derived branch probabilities (DESIGN.md §15) |
 //!
 //! Binaries print paper-vs-measured tables and write CSVs under
-//! `results/`.
+//! `results/`. The trace-driven sweeps share one front end: flags are
+//! parsed by [`SweepArgs`] (its doc lists every flag and default), the
+//! suite is loaded by [`SweepArgs::load_suite`], and traces are prepared
+//! by [`prepare_probs`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,14 +39,250 @@ pub mod timing;
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use dee_analyze::{DirectionCounts, SpeculationPlan};
 use dee_ilpsim::{harmonic_mean, DirectionPredictor, PreparedTrace, ProbSource};
+use dee_isa::Program;
 use dee_predict::{measure_accuracy, BranchPredictor, TwoBitCounter};
 use dee_store::{ArtifactKey, Store, StoreSource};
 use dee_vm::{Engine, Trace, TraceChunks, DEFAULT_CHUNK_RECORDS};
-use dee_workloads::{all_workloads, Scale, Workload, WorkloadRegistry, PAPER_WORKLOADS};
+use dee_workloads::{Scale, Workload, WorkloadRegistry, PAPER_WORKLOADS};
+
+/// The sweep binaries' usage text, printed after any argument error.
+const USAGE: &str = "usage: <sweep binary> [tiny|small|medium|large] [--jobs N] [--store DIR] \
+[--workloads LIST|all] [--engine decoded|interp] [--chunk-records N] \
+[--probs predictor|trace|static] [--max-rss BYTES[K|M|G]]";
+
+/// The command line shared by the sweep binaries, parsed once by
+/// [`SweepArgs::parse`] from one flag table.
+///
+/// | argument | default | meaning |
+/// |---|---|---|
+/// | `tiny\|small\|medium\|large` | `small` | workload scale (positional, anywhere) |
+/// | `--jobs N` | available cores | pool worker threads ([`pool`]); output is byte-identical for any N |
+/// | `--store DIR` | none | record-once/replay-many trace store (DESIGN.md §9) |
+/// | `--workloads LIST` | the paper five | comma-separated registry names, or `all` |
+/// | `--engine decoded\|interp` | `decoded` | trace-capture engine; both give identical suites |
+/// | `--chunk-records N` | [`DEFAULT_CHUNK_RECORDS`] | records per streamed prepare chunk; any N is byte-identical |
+/// | `--probs predictor\|trace\|static` | `predictor` | branch-probability source ([`prepare_probs`]) |
+/// | `--max-rss BYTES` | none | peak-RSS budget checked by [`enforce_max_rss`]; `K`/`M`/`G` suffixes are powers of 1024 |
+///
+/// Every flag also takes the `--flag=value` form. A binary ignores the
+/// flags it has no use for (`static_probs` sweeps the whole registry, so
+/// `--workloads` does not apply to it); an unknown token, a repeated flag
+/// or a second scale is an error.
+#[derive(Clone, Debug)]
+pub struct SweepArgs {
+    /// Workload scale.
+    pub scale: Scale,
+    /// Pool worker threads.
+    pub jobs: usize,
+    /// Trace-store directory, opened by [`SweepArgs::open_store`].
+    pub store: Option<PathBuf>,
+    /// Trace-capture engine.
+    pub engine: Engine,
+    /// Registry names the suite covers, in order.
+    pub workloads: Vec<String>,
+    /// Records per streamed prepare chunk.
+    pub chunk_records: usize,
+    /// Branch-probability source.
+    pub probs: ProbSource,
+    /// Peak-RSS budget in bytes.
+    pub max_rss: Option<u64>,
+}
+
+/// Applies one flag's value to the arguments parsed so far.
+type FlagSetter = fn(&mut SweepArgs, &str) -> Result<(), String>;
+
+/// The value-taking flags. Each entry is the only place its flag is named.
+const FLAGS: [(&str, FlagSetter); 7] = [
+    ("--jobs", |a, v| {
+        a.jobs = positive(v)?;
+        Ok(())
+    }),
+    ("--store", |a, v| {
+        a.store = Some(PathBuf::from(v));
+        Ok(())
+    }),
+    ("--workloads", |a, v| {
+        a.workloads = workload_list(v)?;
+        Ok(())
+    }),
+    ("--engine", |a, v| {
+        a.engine = v.parse::<Engine>().map_err(|e| e.to_string())?;
+        Ok(())
+    }),
+    ("--chunk-records", |a, v| {
+        a.chunk_records = positive(v)?;
+        Ok(())
+    }),
+    ("--probs", |a, v| {
+        a.probs = ProbSource::parse(v)
+            .ok_or_else(|| format!("expects `predictor`, `trace`, or `static`, got {v:?}"))?;
+        Ok(())
+    }),
+    ("--max-rss", |a, v| {
+        a.max_rss = Some(
+            parse_byte_size(v).ok_or_else(|| format!("expects BYTES or <N>K|M|G, got {v:?}"))?,
+        );
+        Ok(())
+    }),
+];
+
+fn positive(value: &str) -> Result<usize, String> {
+    match value.parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!("expects a positive integer, got {value:?}")),
+    }
+}
+
+fn workload_list(list: &str) -> Result<Vec<String>, String> {
+    let registry = WorkloadRegistry::builtin();
+    if list == "all" {
+        return Ok(registry.names().iter().map(|n| (*n).to_string()).collect());
+    }
+    let names: Vec<String> = list
+        .split(',')
+        .filter(|n| !n.is_empty())
+        .map(str::to_string)
+        .collect();
+    if let Some(name) = names.iter().find(|n| !registry.contains(n)) {
+        return Err(format!(
+            "unknown workload `{name}` (known: {})",
+            registry.names().join(", ")
+        ));
+    }
+    if names.is_empty() {
+        return Err("the list is empty".to_string());
+    }
+    Ok(names)
+}
+
+fn parse_byte_size(value: &str) -> Option<u64> {
+    let v = value.trim();
+    let (digits, unit) = match v.as_bytes().last()? {
+        b'k' | b'K' => (&v[..v.len() - 1], 1 << 10),
+        b'm' | b'M' => (&v[..v.len() - 1], 1 << 20),
+        b'g' | b'G' => (&v[..v.len() - 1], 1 << 30),
+        _ => (v, 1),
+    };
+    digits.parse::<u64>().ok()?.checked_mul(unit)
+}
+
+impl SweepArgs {
+    /// Parses the arguments after the binary name. The scale may appear
+    /// anywhere; a flag's value is never read as a scale, so
+    /// `--store tiny` names a directory.
+    ///
+    /// # Errors
+    ///
+    /// Names the offending token: an unknown argument, a second scale, a
+    /// repeated flag, a flag without a value, or a malformed value.
+    pub fn parse(args: impl IntoIterator<Item = String>) -> Result<SweepArgs, String> {
+        let mut parsed = SweepArgs {
+            scale: Scale::Small,
+            jobs: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            store: None,
+            engine: Engine::default(),
+            workloads: PAPER_WORKLOADS.iter().map(|n| (*n).to_string()).collect(),
+            chunk_records: DEFAULT_CHUNK_RECORDS,
+            probs: ProbSource::default(),
+            max_rss: None,
+        };
+        let mut scale_seen = false;
+        let mut flags_seen: Vec<&str> = Vec::new();
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            if let Some(scale) = Scale::parse(&arg) {
+                if std::mem::replace(&mut scale_seen, true) {
+                    return Err(format!("a second scale `{arg}`"));
+                }
+                parsed.scale = scale;
+                continue;
+            }
+            let (flag, inline) = match arg.split_once('=') {
+                Some((flag, value)) => (flag, Some(value)),
+                None => (arg.as_str(), None),
+            };
+            let Some(&(name, set)) = FLAGS.iter().find(|(name, _)| *name == flag) else {
+                return Err(format!("unknown argument `{arg}`"));
+            };
+            if flags_seen.contains(&name) {
+                return Err(format!("{name} given twice"));
+            }
+            flags_seen.push(name);
+            let value = match inline {
+                Some(value) => value.to_string(),
+                None => args.next().ok_or_else(|| format!("{name} needs a value"))?,
+            };
+            set(&mut parsed, &value).map_err(|e| format!("{name}: {e}"))?;
+        }
+        Ok(parsed)
+    }
+
+    /// [`SweepArgs::parse`] over the process arguments. On an error it
+    /// prints the error and the usage text to stderr and exits with status 2,
+    /// before any work or output.
+    #[must_use]
+    pub fn from_env() -> SweepArgs {
+        SweepArgs::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("error: {e}\n{USAGE}");
+            std::process::exit(2)
+        })
+    }
+
+    /// Opens the `--store` directory, if one was given.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the store cannot be opened.
+    #[must_use]
+    pub fn open_store(&self) -> Option<Store> {
+        self.store.as_ref().map(|dir| {
+            Store::open(dir).unwrap_or_else(|e| panic!("--store {}: {e}", dir.display()))
+        })
+    }
+
+    /// Loads the selected suite for the sweep binary `bin`: prints the
+    /// `loading suite at …` line to stderr, then, with `--store`, the
+    /// store's `dee_store_<bin>` hit/miss line.
+    ///
+    /// # Panics
+    ///
+    /// As [`SweepArgs::open_store`] and [`Suite::load`].
+    #[must_use]
+    pub fn load_suite(&self, bin: &str) -> Suite {
+        eprintln!("loading suite at {:?}...", self.scale);
+        let store = self.open_store();
+        let suite = Suite::load(self.scale, &self.workloads, store.as_ref(), self.engine)
+            .unwrap_or_else(|e| panic!("--workloads: {e}"));
+        if let Some(store) = &store {
+            eprintln!("{}", store.stats().timing_line(bin));
+        }
+        suite
+    }
+
+    /// Prepares every suite entry under `--probs` and `--chunk-records` on
+    /// the pool (timing line `dee_bench_pool_<bin>_prepare`), one shared
+    /// prepared trace per entry, in suite order.
+    #[must_use]
+    pub fn prepare_all(&self, suite: &Suite, bin: &str) -> Vec<Arc<PreparedTrace>> {
+        let (chunk, probs) = (self.chunk_records, self.probs);
+        pool::run_sweep(
+            &format!("{bin}_prepare"),
+            self.jobs,
+            suite
+                .entries
+                .iter()
+                .map(|e| {
+                    move || Arc::new(prepare_probs(&e.workload.program, &e.trace, chunk, probs))
+                })
+                .collect(),
+        )
+    }
+}
 
 /// A validated workload with its captured trace.
 pub struct BenchEntry {
@@ -53,73 +292,8 @@ pub struct BenchEntry {
     pub trace: Trace,
 }
 
-impl BenchEntry {
-    /// Prepares the trace for simulation (predictor replay + CFG
-    /// analysis).
-    #[must_use]
-    pub fn prepare(&self) -> PreparedTrace {
-        PreparedTrace::new(&self.workload.program, &self.trace)
-    }
-
-    /// Streamed preparation: the records flow through
-    /// [`PreparedTrace::from_source`] in `chunk_records`-sized chunks
-    /// (the sweep binaries' `--chunk-records` flag), byte-identical to
-    /// [`prepare`](Self::prepare) at every chunk size.
-    #[must_use]
-    pub fn prepare_chunked(&self, chunk_records: usize) -> PreparedTrace {
-        self.prepare_chunked_with(chunk_records, &mut TwoBitCounter::new())
-    }
-
-    /// [`prepare_chunked`](Self::prepare_chunked) with a caller-supplied
-    /// predictor.
-    #[must_use]
-    pub fn prepare_chunked_with(
-        &self,
-        chunk_records: usize,
-        predictor: &mut dyn BranchPredictor,
-    ) -> PreparedTrace {
-        let mut source = TraceChunks::new(&self.trace);
-        PreparedTrace::from_source(
-            &self.workload.program,
-            &mut source,
-            chunk_records,
-            predictor,
-        )
-        .expect("in-memory chunk source cannot fail")
-    }
-
-    /// Empirical per-branch direction counts from the captured trace (the
-    /// trace-oracle profile behind `--probs trace`).
-    #[must_use]
-    pub fn direction_counts(&self) -> BTreeMap<u32, DirectionCounts> {
-        trace_direction_counts(&self.trace)
-    }
-
-    /// Streamed preparation under a chosen probability source: the 2-bit
-    /// counter (`predictor`, the historical default), the trace's own
-    /// majority directions (`trace`), or the static plan's directions
-    /// (`static`, profile-free). All three are byte-deterministic at any
-    /// chunk size and `--jobs` split.
-    #[must_use]
-    pub fn prepare_probs(&self, chunk_records: usize, probs: ProbSource) -> PreparedTrace {
-        match probs {
-            ProbSource::Predictor => self.prepare_chunked(chunk_records),
-            ProbSource::Trace => {
-                let mut p = DirectionPredictor::from_counts(&self.direction_counts());
-                self.prepare_chunked_with(chunk_records, &mut p)
-            }
-            ProbSource::Static => {
-                let plan = SpeculationPlan::build(&self.workload.program);
-                let mut p = DirectionPredictor::from_plan(&plan);
-                self.prepare_chunked_with(chunk_records, &mut p)
-            }
-        }
-    }
-}
-
 /// Empirical per-branch direction counts from any captured trace — the
-/// trace-oracle profile behind `--probs trace`, usable outside the suite
-/// (generated workloads, ad-hoc programs).
+/// trace-oracle profile behind `--probs trace`.
 #[must_use]
 pub fn trace_direction_counts(trace: &Trace) -> BTreeMap<u32, DirectionCounts> {
     let mut counts: BTreeMap<u32, DirectionCounts> = BTreeMap::new();
@@ -134,123 +308,84 @@ pub fn trace_direction_counts(trace: &Trace) -> BTreeMap<u32, DirectionCounts> {
     counts
 }
 
-/// Prepares one `(program, trace)` pair under a probability source —
-/// [`BenchEntry::prepare_probs`] for callers outside the five-benchmark
-/// suite. Whole-trace (unchunked) preparation; byte-identical to the
-/// chunked path over the same stream.
+/// Prepares `trace` for simulation with `predictor`, streaming the records
+/// through [`PreparedTrace::from_source`] `chunk_records` at a time.
+/// Byte-identical to the whole-trace [`PreparedTrace::with_predictor`] at
+/// every chunk size.
 #[must_use]
-pub fn prepare_trace_probs(
-    program: &dee_isa::Program,
+pub fn prepare_with(
+    program: &Program,
     trace: &Trace,
-    probs: ProbSource,
+    chunk_records: usize,
+    predictor: &mut dyn BranchPredictor,
 ) -> PreparedTrace {
-    match probs {
-        ProbSource::Predictor => PreparedTrace::new(program, trace),
-        ProbSource::Trace => {
-            let mut p = DirectionPredictor::from_counts(&trace_direction_counts(trace));
-            PreparedTrace::with_predictor(program, trace, &mut p)
-        }
-        ProbSource::Static => {
-            let mut p = DirectionPredictor::from_plan(&SpeculationPlan::build(program));
-            PreparedTrace::with_predictor(program, trace, &mut p)
-        }
-    }
+    PreparedTrace::from_source(
+        program,
+        &mut TraceChunks::new(trace),
+        chunk_records,
+        predictor,
+    )
+    .expect("in-memory chunk source cannot fail")
 }
 
-/// The five-benchmark suite at a given scale, traced and validated.
+/// [`prepare_with`] under a probability source: the 2-bit counter
+/// (`predictor`, the paper's setup), the trace's own majority directions
+/// (`trace`), or the static plan's directions (`static`, profile-free).
+#[must_use]
+pub fn prepare_probs(
+    program: &Program,
+    trace: &Trace,
+    chunk_records: usize,
+    probs: ProbSource,
+) -> PreparedTrace {
+    let mut predictor: Box<dyn BranchPredictor> = match probs {
+        ProbSource::Predictor => Box::new(TwoBitCounter::new()),
+        ProbSource::Trace => Box::new(DirectionPredictor::from_counts(&trace_direction_counts(
+            trace,
+        ))),
+        ProbSource::Static => Box::new(DirectionPredictor::from_plan(&SpeculationPlan::build(
+            program,
+        ))),
+    };
+    prepare_with(program, trace, chunk_records, predictor.as_mut())
+}
+
+/// A selected workload suite at a given scale, traced and validated.
 pub struct Suite {
-    /// Entries in the paper's benchmark order.
+    /// Entries in the order the workloads were named.
     pub entries: Vec<BenchEntry>,
     /// The scale the suite was built at.
     pub scale: Scale,
 }
 
 impl Suite {
-    /// Builds, runs, and validates all five workloads.
+    /// Builds, traces (with `engine`) and validates the named workloads,
+    /// resolved through the builtin [`WorkloadRegistry`], in the order
+    /// given.
     ///
-    /// # Panics
-    ///
-    /// Panics if any workload fails validation — that is a build error,
-    /// not an experiment outcome.
-    #[must_use]
-    pub fn load(scale: Scale) -> Self {
-        Suite::load_with_store(scale, None)
-    }
-
-    /// Like [`Suite::load`], but record-once/replay-many when a store is
-    /// given: each workload's raw trace is replayed from its published
+    /// With a store, each raw trace is replayed from its published
     /// artifact when one exists and is intact, and captured on the VM —
     /// then published — otherwise. A replayed trace is still validated
     /// against the workload's reference output; disagreement quarantines
-    /// the artifact and falls back to the VM, so the suite a binary
-    /// computes on is byte-identical with and without `--store`.
+    /// the artifact and falls back to the VM, so the suite is
+    /// byte-identical with and without a store.
+    ///
+    /// # Errors
+    ///
+    /// Reports the first name the registry does not know.
     ///
     /// # Panics
     ///
     /// Panics if VM-side workload validation fails, or if a workload
     /// carries `Error`-severity static-analysis lints — both are build
     /// errors, not experiment outcomes.
-    #[must_use]
-    pub fn load_with_store(scale: Scale, store: Option<&Store>) -> Self {
-        Suite::from_workloads(all_workloads(scale), scale, store, Engine::default())
-    }
-
-    /// Builds a suite over a caller-chosen workload set, resolved through
-    /// the builtin [`WorkloadRegistry`] — any mix of the paper five and
-    /// the other registered workloads (`synacor`, `sc`), in the order
-    /// given.
-    ///
-    /// # Errors
-    ///
-    /// Reports the first name the registry does not know.
-    ///
-    /// # Panics
-    ///
-    /// As [`Suite::load_with_store`], on validation or lint failure.
-    pub fn load_selected(
-        scale: Scale,
-        names: &[impl AsRef<str>],
-        store: Option<&Store>,
-    ) -> Result<Self, String> {
-        Suite::load_selected_with(scale, names, store, Engine::default())
-    }
-
-    /// [`Suite::load_selected`] with an explicit trace-capture engine
-    /// (`--engine decoded|interp`). Both engines produce byte-identical
-    /// suites; the choice only changes capture speed.
-    ///
-    /// # Errors
-    ///
-    /// Reports the first name the registry does not know.
-    ///
-    /// # Panics
-    ///
-    /// As [`Suite::load_with_store`], on validation or lint failure.
-    pub fn load_selected_with(
+    pub fn load(
         scale: Scale,
         names: &[impl AsRef<str>],
         store: Option<&Store>,
         engine: Engine,
     ) -> Result<Self, String> {
         let workloads = WorkloadRegistry::builtin().build_many(names, scale)?;
-        Ok(Suite::from_workloads(workloads, scale, store, engine))
-    }
-
-    /// The shared trace-capture path: every workload — built-in or
-    /// generated — goes through the same lint gate, store replay,
-    /// quarantine, and validation, traced by the selected engine.
-    ///
-    /// # Panics
-    ///
-    /// As [`Suite::load_with_store`].
-    #[must_use]
-    pub fn from_workloads(
-        workloads: Vec<Workload>,
-        scale: Scale,
-        store: Option<&Store>,
-        engine: Engine,
-    ) -> Self {
-        let scale_tag = format!("{scale:?}").to_ascii_lowercase();
         let entries = workloads
             .into_iter()
             .map(|workload| {
@@ -272,7 +407,7 @@ impl Suite {
                     Some(store) => {
                         let key = ArtifactKey::new(
                             &workload.name,
-                            &scale_tag,
+                            scale.name(),
                             &workload.program.to_listing(),
                             &workload.initial_memory,
                         );
@@ -303,254 +438,38 @@ impl Suite {
                 BenchEntry { workload, trace }
             })
             .collect();
-        Suite { entries, scale }
+        Ok(Suite { entries, scale })
     }
 
-    /// The characteristic prediction accuracy: harmonic mean of the 2-bit
-    /// counter's accuracy over the suite (the paper's §3.1 step 1; it
-    /// measured 90.53% on SPECint92).
+    /// The characteristic prediction accuracy (the paper's §3.1 step 1):
+    /// the harmonic mean of [`probs_accuracy`] over the suite.
     #[must_use]
-    pub fn characteristic_accuracy(&self) -> f64 {
+    pub fn characteristic_accuracy_probs(&self, probs: ProbSource) -> f64 {
         let accs: Vec<f64> = self
             .entries
             .iter()
-            .map(|e| measure_accuracy(&mut TwoBitCounter::new(), &e.trace).accuracy())
+            .map(|e| probs_accuracy(&e.workload.program, &e.trace, probs))
             .collect();
         harmonic_mean(&accs)
     }
+}
 
-    /// The characteristic accuracy under a chosen probability source:
-    /// `predictor` measures the 2-bit counter, `trace` takes each trace's
-    /// majority-direction mass, and `static` uses the plan's expected
-    /// accuracy *without touching any trace* — the shape a serve tier
-    /// would pick for a never-executed upload.
-    #[must_use]
-    pub fn characteristic_accuracy_probs(&self, probs: ProbSource) -> f64 {
-        match probs {
-            ProbSource::Predictor => self.characteristic_accuracy(),
-            ProbSource::Trace => {
-                let accs: Vec<f64> = self
-                    .entries
-                    .iter()
-                    .map(|e| {
-                        let counts = e.direction_counts();
-                        DirectionPredictor::from_counts(&counts).accuracy_over(&counts)
-                    })
-                    .collect();
-                harmonic_mean(&accs)
-            }
-            ProbSource::Static => {
-                let accs: Vec<f64> = self
-                    .entries
-                    .iter()
-                    .map(|e| SpeculationPlan::build(&e.workload.program).expected_accuracy)
-                    .collect();
-                harmonic_mean(&accs)
-            }
+/// One workload's prediction accuracy under a probability source:
+/// `predictor` measures the 2-bit counter (the paper measured 90.53% on
+/// SPECint92), `trace` takes the trace's majority-direction mass, and
+/// `static` uses the plan's expected accuracy *without touching the
+/// trace* — the shape a serve tier would pick for a never-executed
+/// upload.
+#[must_use]
+pub fn probs_accuracy(program: &Program, trace: &Trace, probs: ProbSource) -> f64 {
+    match probs {
+        ProbSource::Predictor => measure_accuracy(&mut TwoBitCounter::new(), trace).accuracy(),
+        ProbSource::Trace => {
+            let counts = trace_direction_counts(trace);
+            DirectionPredictor::from_counts(&counts).accuracy_over(&counts)
         }
+        ProbSource::Static => SpeculationPlan::build(program).expected_accuracy,
     }
-}
-
-/// Parses the scale argument shared by the experiment binaries
-/// (`tiny|small|medium|large`, default `small`). Flags and their values
-/// (`--jobs N`, `--store DIR`, `--workloads LIST`, `--engine E`,
-/// `--chunk-records N`, `--max-rss BYTES`) are skipped, so the scale may
-/// appear anywhere: `fig5 --store traces tiny --jobs 4`.
-#[must_use]
-pub fn scale_from_args() -> Scale {
-    scale_from(std::env::args().skip(1))
-}
-
-fn scale_from<I: Iterator<Item = String>>(args: I) -> Scale {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            // Value-taking flags: skip the value so a directory named
-            // `tiny` never reads as a scale.
-            "--jobs" | "--store" | "--workloads" | "--engine" | "--chunk-records" | "--max-rss"
-            | "--probs" => {
-                args.next();
-            }
-            "tiny" => return Scale::Tiny,
-            "small" => return Scale::Small,
-            "medium" => return Scale::Medium,
-            "large" => return Scale::Large,
-            _ => {}
-        }
-    }
-    Scale::Small
-}
-
-/// Parses the `--store DIR` (or `--store=DIR`) flag shared by the
-/// experiment binaries: the trace-artifact store to record to and replay
-/// from. `None` when the flag is absent.
-///
-/// # Panics
-///
-/// Panics when the flag has no value or the store cannot be opened.
-#[must_use]
-pub fn store_from_args() -> Option<Store> {
-    store_from(std::env::args().skip(1))
-}
-
-fn store_from<I: Iterator<Item = String>>(args: I) -> Option<Store> {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let dir = if arg == "--store" {
-            args.next()
-        } else if let Some(rest) = arg.strip_prefix("--store=") {
-            Some(rest.to_string())
-        } else {
-            continue;
-        };
-        let dir = dir.unwrap_or_else(|| panic!("--store needs a directory"));
-        return Some(Store::open(&dir).unwrap_or_else(|e| panic!("--store {dir}: {e}")));
-    }
-    None
-}
-
-/// Parses the `--engine decoded|interp` (or `--engine=E`) flag shared by
-/// the experiment binaries: which trace-capture engine the suite uses.
-/// Defaults to the pre-decoded fast path; `interp` selects the reference
-/// interpreter. Both produce byte-identical suites.
-///
-/// # Panics
-///
-/// Panics when the flag has no value or names an unknown engine.
-#[must_use]
-pub fn engine_from_args() -> Engine {
-    engine_from(std::env::args().skip(1))
-}
-
-fn engine_from<I: Iterator<Item = String>>(args: I) -> Engine {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let value = if arg == "--engine" {
-            args.next()
-        } else if let Some(rest) = arg.strip_prefix("--engine=") {
-            Some(rest.to_string())
-        } else {
-            continue;
-        };
-        let value = value.unwrap_or_else(|| panic!("--engine needs `decoded` or `interp`"));
-        return value.parse().unwrap_or_else(|e| panic!("--engine: {e}"));
-    }
-    Engine::default()
-}
-
-/// Parses the `--probs predictor|trace|static` (or `--probs=P`) flag
-/// shared by the experiment binaries: which probability source shapes the
-/// DEE tree and marks mispredicts. Defaults to `predictor` (the 2-bit
-/// counter), keeping every committed golden byte-identical.
-///
-/// # Panics
-///
-/// Panics when the flag has no value or names an unknown source.
-#[must_use]
-pub fn probs_from_args() -> ProbSource {
-    probs_from(std::env::args().skip(1))
-}
-
-fn probs_from<I: Iterator<Item = String>>(args: I) -> ProbSource {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let value = if arg == "--probs" {
-            args.next()
-        } else if let Some(rest) = arg.strip_prefix("--probs=") {
-            Some(rest.to_string())
-        } else {
-            continue;
-        };
-        let value =
-            value.unwrap_or_else(|| panic!("--probs needs `predictor`, `trace`, or `static`"));
-        return ProbSource::parse(&value).unwrap_or_else(|| {
-            panic!("--probs expects `predictor`, `trace`, or `static`, got {value:?}")
-        });
-    }
-    ProbSource::default()
-}
-
-/// Parses the `--chunk-records N` (or `--chunk-records=N`) flag shared by
-/// the experiment binaries: how many records the streaming prepare path
-/// pulls per chunk. Defaults to [`dee_vm::DEFAULT_CHUNK_RECORDS`]; the
-/// prepared traces — and so every golden — are byte-identical at any
-/// chunk size.
-///
-/// # Panics
-///
-/// Panics when the flag has no value or the value is not a positive
-/// integer.
-#[must_use]
-pub fn chunk_records_from_args() -> usize {
-    chunk_records_from(std::env::args().skip(1))
-}
-
-fn chunk_records_from<I: Iterator<Item = String>>(args: I) -> usize {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let value = if arg == "--chunk-records" {
-            args.next()
-        } else if let Some(rest) = arg.strip_prefix("--chunk-records=") {
-            Some(rest.to_string())
-        } else {
-            continue;
-        };
-        let value = value.unwrap_or_else(|| panic!("--chunk-records needs a record count"));
-        let chunk: usize = value.parse().unwrap_or_else(|_| {
-            panic!("--chunk-records expects a positive integer, got {value:?}")
-        });
-        assert!(
-            chunk >= 1,
-            "--chunk-records expects a positive integer, got 0"
-        );
-        return chunk;
-    }
-    DEFAULT_CHUNK_RECORDS
-}
-
-/// Parses the `--max-rss BYTES` (or `--max-rss=BYTES`) flag shared by the
-/// experiment binaries: a peak-resident-set budget the run must stay
-/// under, checked by [`enforce_max_rss`] once the sweep finishes. Accepts
-/// a plain byte count or a `K`/`M`/`G` suffix (powers of 1024). `None`
-/// when the flag is absent.
-///
-/// # Panics
-///
-/// Panics when the flag has no value or the value is malformed.
-#[must_use]
-pub fn max_rss_from_args() -> Option<u64> {
-    max_rss_from(std::env::args().skip(1))
-}
-
-fn max_rss_from<I: Iterator<Item = String>>(args: I) -> Option<u64> {
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let value = if arg == "--max-rss" {
-            args.next()
-        } else if let Some(rest) = arg.strip_prefix("--max-rss=") {
-            Some(rest.to_string())
-        } else {
-            continue;
-        };
-        let value = value.unwrap_or_else(|| panic!("--max-rss needs a byte budget"));
-        return Some(
-            parse_byte_size(&value)
-                .unwrap_or_else(|| panic!("--max-rss expects BYTES or <N>K|M|G, got {value:?}")),
-        );
-    }
-    None
-}
-
-fn parse_byte_size(value: &str) -> Option<u64> {
-    let v = value.trim();
-    let (digits, shift) = match v.as_bytes().last()? {
-        b'k' | b'K' => (&v[..v.len() - 1], 10),
-        b'm' | b'M' => (&v[..v.len() - 1], 20),
-        b'g' | b'G' => (&v[..v.len() - 1], 30),
-        _ => (v, 0),
-    };
-    let n: u64 = digits.parse().ok()?;
-    n.checked_shl(shift).filter(|&b| b > 0 || n == 0)
 }
 
 /// The process's peak resident set size in bytes (`VmHWM` from
@@ -588,52 +507,6 @@ pub fn enforce_max_rss(limit: Option<u64>) {
         }
         None => eprintln!("dee_bench_max_rss: VmHWM unavailable; --max-rss not enforced"),
     }
-}
-
-/// Parses the `--workloads a,b,c` (or `--workloads=a,b,c`) flag shared by
-/// the experiment binaries: which registered workloads a suite covers.
-/// Defaults to the paper five so committed goldens are unaffected;
-/// `--workloads all` selects every builtin registration.
-///
-/// # Panics
-///
-/// Panics when the flag has no value or names an unknown workload.
-#[must_use]
-pub fn workloads_from_args() -> Vec<String> {
-    workloads_from(std::env::args().skip(1))
-}
-
-fn workloads_from<I: Iterator<Item = String>>(args: I) -> Vec<String> {
-    let registry = WorkloadRegistry::builtin();
-    let mut args = args.peekable();
-    while let Some(arg) = args.next() {
-        let list = if arg == "--workloads" {
-            args.next()
-        } else if let Some(rest) = arg.strip_prefix("--workloads=") {
-            Some(rest.to_string())
-        } else {
-            continue;
-        };
-        let list = list.unwrap_or_else(|| panic!("--workloads needs a comma-separated list"));
-        if list == "all" {
-            return registry.names().iter().map(|n| (*n).to_string()).collect();
-        }
-        let names: Vec<String> = list
-            .split(',')
-            .filter(|n| !n.is_empty())
-            .map(str::to_string)
-            .collect();
-        for name in &names {
-            assert!(
-                registry.contains(name),
-                "--workloads: unknown workload `{name}` (known: {})",
-                registry.names().join(", ")
-            );
-        }
-        assert!(!names.is_empty(), "--workloads list is empty");
-        return names;
-    }
-    PAPER_WORKLOADS.iter().map(|n| (*n).to_string()).collect()
 }
 
 /// A simple fixed-width text table builder for experiment output.
@@ -728,11 +601,16 @@ pub const FIG5_RESOURCES: [u32; 6] = [8, 16, 32, 64, 128, 256];
 mod tests {
     use super::*;
 
+    /// The paper five at `scale`, captured by the default engine.
+    fn paper_suite(scale: Scale, store: Option<&Store>) -> Suite {
+        Suite::load(scale, &PAPER_WORKLOADS, store, Engine::default()).expect("paper five")
+    }
+
     #[test]
     fn suite_loads_and_validates_tiny() {
-        let suite = Suite::load(Scale::Tiny);
+        let suite = paper_suite(Scale::Tiny, None);
         assert_eq!(suite.entries.len(), 5);
-        let p = suite.characteristic_accuracy();
+        let p = suite.characteristic_accuracy_probs(ProbSource::Predictor);
         assert!((0.5..1.0).contains(&p), "accuracy {p}");
     }
 
@@ -759,116 +637,124 @@ mod tests {
         assert_eq!(pct(0.905), "90.5%");
     }
 
-    fn args(list: &[&str]) -> impl Iterator<Item = String> {
-        list.iter()
-            .map(|s| (*s).to_string())
-            .collect::<Vec<_>>()
-            .into_iter()
+    fn parse(list: &[&str]) -> Result<SweepArgs, String> {
+        SweepArgs::parse(list.iter().map(|s| (*s).to_string()))
     }
 
     #[test]
-    fn scale_parsing_tolerates_flags_anywhere() {
-        assert_eq!(scale_from(args(&["tiny"])), Scale::Tiny);
-        assert_eq!(scale_from(args(&["--jobs", "4", "medium"])), Scale::Medium);
-        assert_eq!(
-            scale_from(args(&["large", "--store", "traces"])),
-            Scale::Large
-        );
-        // A directory that happens to be named like a scale is a flag
-        // value, not a scale.
-        assert_eq!(scale_from(args(&["--store", "tiny"])), Scale::Small);
-        assert_eq!(scale_from(args(&["--store=tiny"])), Scale::Small);
-        assert_eq!(scale_from(args(&[])), Scale::Small);
-        assert_eq!(
-            scale_from(args(&["--engine", "interp", "medium"])),
-            Scale::Medium
-        );
+    fn parse_defaults() {
+        let a = parse(&[]).expect("no arguments");
+        assert_eq!(a.scale, Scale::Small);
+        assert!(a.jobs >= 1);
+        assert_eq!(a.store, None);
+        assert_eq!(a.engine, Engine::Decoded);
+        assert_eq!(a.workloads, PAPER_WORKLOADS.to_vec());
+        assert_eq!(a.chunk_records, DEFAULT_CHUNK_RECORDS);
+        assert_eq!(a.probs, ProbSource::Predictor);
+        assert_eq!(a.max_rss, None);
     }
 
     #[test]
-    fn engine_parsing_defaults_to_decoded() {
-        assert_eq!(engine_from(args(&["tiny"])), Engine::Decoded);
-        assert_eq!(engine_from(args(&["--engine", "interp"])), Engine::Interp);
-        assert_eq!(engine_from(args(&["--engine=decoded"])), Engine::Decoded);
-        assert_eq!(
-            engine_from(args(&["tiny", "--jobs", "4", "--engine", "interp"])),
-            Engine::Interp
-        );
+    fn parse_takes_flags_anywhere_in_both_forms() {
+        type Check = fn(&SweepArgs) -> bool;
+        let cases: &[(&[&str], Check)] = &[
+            (&["tiny"], |a| a.scale == Scale::Tiny),
+            (&["--jobs", "4", "medium"], |a| {
+                a.scale == Scale::Medium && a.jobs == 4
+            }),
+            (&["large", "--store", "traces"], |a| {
+                a.scale == Scale::Large && a.store == Some(PathBuf::from("traces"))
+            }),
+            // A directory named like a scale is a flag value, not a scale.
+            (&["--store", "tiny"], |a| {
+                a.scale == Scale::Small && a.store == Some(PathBuf::from("tiny"))
+            }),
+            (&["--store=tiny"], |a| {
+                a.scale == Scale::Small && a.store == Some(PathBuf::from("tiny"))
+            }),
+            (&["--engine", "interp", "medium"], |a| {
+                a.scale == Scale::Medium && a.engine == Engine::Interp
+            }),
+            (&["--engine=decoded"], |a| a.engine == Engine::Decoded),
+            (&["tiny", "--jobs", "3"], |a| a.jobs == 3),
+            (&["--jobs=5", "medium"], |a| a.jobs == 5),
+            (&["--chunk-records", "4093"], |a| a.chunk_records == 4093),
+            (&["--chunk-records=7"], |a| a.chunk_records == 7),
+            (&["--probs", "static", "tiny"], |a| {
+                a.scale == Scale::Tiny && a.probs == ProbSource::Static
+            }),
+            (&["--probs", "trace"], |a| a.probs == ProbSource::Trace),
+            (&["tiny", "--jobs", "4", "--probs", "predictor"], |a| {
+                a.probs == ProbSource::Predictor && a.jobs == 4
+            }),
+            (&["--max-rss", "1048576"], |a| a.max_rss == Some(1 << 20)),
+            (&["--max-rss=512K"], |a| a.max_rss == Some(512 << 10)),
+            (&["--max-rss", "64M"], |a| a.max_rss == Some(64 << 20)),
+            (&["--max-rss", "2G"], |a| a.max_rss == Some(2 << 30)),
+            (&["--workloads", "synacor,cc1"], |a| {
+                a.workloads == ["synacor", "cc1"]
+            }),
+            (&["--workloads=xlisp"], |a| a.workloads == ["xlisp"]),
+            (&["--workloads", "all"], |a| {
+                a.workloads.iter().any(|w| w == "synacor")
+                    && a.workloads.len() > PAPER_WORKLOADS.len()
+            }),
+        ];
+        for (argv, check) in cases {
+            let a = parse(argv).unwrap_or_else(|e| panic!("{argv:?}: {e}"));
+            assert!(check(&a), "{argv:?} parsed as {a:?}");
+        }
     }
 
     #[test]
-    #[should_panic(expected = "--engine")]
-    fn engine_parsing_rejects_unknown_engines() {
-        engine_from(args(&["--engine", "warp"]));
+    fn parse_rejects_bad_arguments() {
+        let cases: &[(&[&str], &str)] = &[
+            (&["medum"], "unknown argument `medum`"),
+            (&["tiny", "--verbose"], "unknown argument `--verbose`"),
+            (&["tiny", "small"], "a second scale `small`"),
+            (&["--jobs"], "--jobs needs a value"),
+            (&["--jobs", "many"], "--jobs: expects a positive integer"),
+            (&["--jobs", "0"], "--jobs: expects a positive integer"),
+            (&["--jobs", "2", "--jobs=3"], "--jobs given twice"),
+            (
+                &["--chunk-records", "0"],
+                "--chunk-records: expects a positive integer",
+            ),
+            (&["--engine", "warp"], "--engine: "),
+            (&["--probs", "oracle"], "--probs: expects"),
+            (&["--max-rss", "lots"], "--max-rss: expects"),
+            // 17179869185 GiB is 2^64 + 2^30 bytes: it must not wrap to 1 GiB.
+            (&["--max-rss", "17179869185G"], "--max-rss: expects"),
+            (
+                &["--workloads", "gcc"],
+                "--workloads: unknown workload `gcc`",
+            ),
+            (&["--workloads", ","], "--workloads: the list is empty"),
+        ];
+        for (argv, want) in cases {
+            match parse(argv) {
+                Ok(a) => panic!("{argv:?} parsed as {a:?}"),
+                Err(e) => assert!(e.contains(want), "{argv:?}: {e:?} lacks {want:?}"),
+            }
+        }
     }
 
     #[test]
     fn suites_identical_across_engines() {
-        let a = Suite::load_selected_with(Scale::Tiny, &["xlisp"], None, Engine::Interp)
-            .expect("known");
-        let b = Suite::load_selected_with(Scale::Tiny, &["xlisp"], None, Engine::Decoded)
-            .expect("known");
+        let a = Suite::load(Scale::Tiny, &["xlisp"], None, Engine::Interp).expect("known");
+        let b = Suite::load(Scale::Tiny, &["xlisp"], None, Engine::Decoded).expect("known");
         assert_eq!(a.entries[0].trace.records(), b.entries[0].trace.records());
         assert_eq!(a.entries[0].trace.output(), b.entries[0].trace.output());
     }
 
     #[test]
-    fn chunk_records_parsing_defaults_and_forms() {
-        assert_eq!(chunk_records_from(args(&["tiny"])), DEFAULT_CHUNK_RECORDS);
-        assert_eq!(chunk_records_from(args(&["--chunk-records", "4093"])), 4093);
-        assert_eq!(chunk_records_from(args(&["--chunk-records=7"])), 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive integer")]
-    fn chunk_records_parsing_rejects_zero() {
-        chunk_records_from(args(&["--chunk-records", "0"]));
-    }
-
-    #[test]
-    fn max_rss_parsing_handles_suffixes() {
-        assert_eq!(max_rss_from(args(&["tiny"])), None);
-        assert_eq!(max_rss_from(args(&["--max-rss", "1048576"])), Some(1 << 20));
-        assert_eq!(max_rss_from(args(&["--max-rss=512K"])), Some(512 << 10));
-        assert_eq!(max_rss_from(args(&["--max-rss", "64M"])), Some(64 << 20));
-        assert_eq!(max_rss_from(args(&["--max-rss", "2G"])), Some(2 << 30));
-    }
-
-    #[test]
-    #[should_panic(expected = "--max-rss expects")]
-    fn max_rss_parsing_rejects_garbage() {
-        max_rss_from(args(&["--max-rss", "lots"]));
-    }
-
-    #[test]
-    fn probs_parsing_defaults_and_forms() {
-        assert_eq!(probs_from(args(&["tiny"])), ProbSource::Predictor);
-        assert_eq!(probs_from(args(&["--probs", "trace"])), ProbSource::Trace);
-        assert_eq!(probs_from(args(&["--probs=static"])), ProbSource::Static);
-        assert_eq!(
-            probs_from(args(&["tiny", "--jobs", "4", "--probs", "predictor"])),
-            ProbSource::Predictor
-        );
-        // The scale parser must not eat `--probs` values either.
-        assert_eq!(
-            scale_from(args(&["--probs", "static", "tiny"])),
-            Scale::Tiny
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "--probs expects")]
-    fn probs_parsing_rejects_unknown_sources() {
-        probs_from(args(&["--probs", "oracle"]));
-    }
-
-    #[test]
     fn prepare_probs_sources_are_deterministic_and_ranked() {
-        let suite = Suite::load_selected(Scale::Tiny, &["compress"], None).expect("known");
-        let entry = &suite.entries[0];
+        let suite =
+            Suite::load(Scale::Tiny, &["compress"], None, Engine::default()).expect("known");
+        let (program, trace) = (&suite.entries[0].workload.program, &suite.entries[0].trace);
         for probs in [ProbSource::Predictor, ProbSource::Trace, ProbSource::Static] {
-            let a = entry.prepare_probs(DEFAULT_CHUNK_RECORDS, probs);
-            let b = entry.prepare_probs(64, probs);
+            let a = prepare_probs(program, trace, DEFAULT_CHUNK_RECORDS, probs);
+            let b = prepare_probs(program, trace, 64, probs);
             assert_eq!(
                 a.num_mispredicts(),
                 b.num_mispredicts(),
@@ -883,8 +769,8 @@ mod tests {
         }
         // The trace oracle is the best fixed per-branch direction, so the
         // static plan cannot beat it on the same trace.
-        let oracle = entry.prepare_probs(DEFAULT_CHUNK_RECORDS, ProbSource::Trace);
-        let plan = entry.prepare_probs(DEFAULT_CHUNK_RECORDS, ProbSource::Static);
+        let oracle = prepare_probs(program, trace, DEFAULT_CHUNK_RECORDS, ProbSource::Trace);
+        let plan = prepare_probs(program, trace, DEFAULT_CHUNK_RECORDS, ProbSource::Static);
         assert!(
             plan.accuracy() <= oracle.accuracy() + 1e-12,
             "static {} vs oracle {}",
@@ -906,11 +792,12 @@ mod tests {
 
     #[test]
     fn chunked_prepare_is_byte_identical_at_any_chunk_size() {
-        let suite = Suite::load_selected(Scale::Tiny, &["compress"], None).expect("known");
-        let entry = &suite.entries[0];
-        let whole = entry.prepare();
+        let suite =
+            Suite::load(Scale::Tiny, &["compress"], None, Engine::default()).expect("known");
+        let (program, trace) = (&suite.entries[0].workload.program, &suite.entries[0].trace);
+        let whole = PreparedTrace::new(program, trace);
         for chunk in [1usize, 4093, DEFAULT_CHUNK_RECORDS] {
-            let streamed = entry.prepare_chunked(chunk);
+            let streamed = prepare_probs(program, trace, chunk, ProbSource::Predictor);
             assert_eq!(streamed.len(), whole.len());
             assert_eq!(streamed.output(), whole.output());
             assert_eq!(streamed.num_paths(), whole.num_paths());
@@ -921,39 +808,30 @@ mod tests {
     }
 
     #[test]
-    fn workloads_parsing_defaults_to_the_paper_five() {
-        assert_eq!(workloads_from(args(&["tiny"])), PAPER_WORKLOADS.to_vec());
-        assert_eq!(
-            workloads_from(args(&["--workloads", "synacor,cc1"])),
-            vec!["synacor", "cc1"]
-        );
-        assert_eq!(workloads_from(args(&["--workloads=xlisp"])), vec!["xlisp"]);
-        let all = workloads_from(args(&["--workloads", "all"]));
-        assert!(all.contains(&"synacor".to_string()));
-        assert!(all.len() > PAPER_WORKLOADS.len());
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown workload")]
-    fn workloads_parsing_rejects_unknown_names() {
-        workloads_from(args(&["--workloads", "gcc"]));
-    }
-
-    #[test]
     fn selected_suite_builds_registry_workloads() {
-        let suite =
-            Suite::load_selected(Scale::Tiny, &["synacor", "compress"], None).expect("known names");
+        let suite = Suite::load(
+            Scale::Tiny,
+            &["synacor", "compress"],
+            None,
+            Engine::default(),
+        )
+        .expect("known names");
         assert_eq!(suite.entries.len(), 2);
         assert_eq!(suite.entries[0].workload.name, "synacor");
-        assert!(Suite::load_selected(Scale::Tiny, &["nope"], None).is_err());
+        assert!(Suite::load(Scale::Tiny, &["nope"], None, Engine::default()).is_err());
     }
 
     #[test]
-    fn store_parsing_finds_flag_or_returns_none() {
-        assert!(store_from(args(&["tiny", "--jobs", "4"])).is_none());
+    fn store_flag_opens_the_named_directory() {
+        assert!(parse(&["tiny", "--jobs", "4"])
+            .unwrap()
+            .open_store()
+            .is_none());
         let dir = std::env::temp_dir().join(format!("dee_bench_storeflag_{}", std::process::id()));
-        let store =
-            store_from(args(&["tiny", "--store", dir.to_str().unwrap()])).expect("flag parsed");
+        let store = parse(&["tiny", "--store", dir.to_str().unwrap()])
+            .unwrap()
+            .open_store()
+            .expect("flag parsed");
         assert_eq!(store.root(), dir.as_path());
         std::fs::remove_dir_all(dir).ok();
     }
@@ -966,9 +844,9 @@ mod tests {
             std::fs::remove_dir_all(&dir).unwrap();
         }
         let store = Store::open(&dir).unwrap();
-        let fresh = Suite::load(Scale::Tiny);
-        let recorded = Suite::load_with_store(Scale::Tiny, Some(&store));
-        let replayed = Suite::load_with_store(Scale::Tiny, Some(&store));
+        let fresh = paper_suite(Scale::Tiny, None);
+        let recorded = paper_suite(Scale::Tiny, Some(&store));
+        let replayed = paper_suite(Scale::Tiny, Some(&store));
         use std::sync::atomic::Ordering;
         assert_eq!(store.stats().writes.load(Ordering::Relaxed), 5);
         assert_eq!(store.stats().disk_hits.load(Ordering::Relaxed), 5);
@@ -996,14 +874,14 @@ mod tests {
         );
         let wrong = &replayed.entries[0].trace;
         store.put(&key, wrong).unwrap();
-        let healed = Suite::load_with_store(Scale::Tiny, Some(&store));
+        let healed = paper_suite(Scale::Tiny, Some(&store));
         assert_eq!(
             healed.entries[4].trace.output(),
             xlisp.expected_output.as_slice()
         );
         assert_eq!(store.stats().quarantined.load(Ordering::Relaxed), 1);
         // The heal republished good content: one more pass replays clean.
-        let again = Suite::load_with_store(Scale::Tiny, Some(&store));
+        let again = paper_suite(Scale::Tiny, Some(&store));
         assert_eq!(
             again.entries[4].trace.output(),
             xlisp.expected_output.as_slice()

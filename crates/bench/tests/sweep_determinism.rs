@@ -124,6 +124,29 @@ determinism_test!(
 determinism_test!(riseman_foster_is_byte_deterministic, "riseman_foster");
 determinism_test!(resolve_location_is_byte_deterministic, "resolve_location");
 determinism_test!(genspace_is_byte_deterministic, "genspace");
+determinism_test!(static_probs_is_byte_deterministic, "static_probs");
+
+/// A misspelled scale must not fall back to `small` and overwrite that
+/// scale's results: the binary prints the usage text and exits non-zero
+/// before doing any work.
+#[test]
+fn unknown_argument_fails_before_writing_results() {
+    let dir = temp_dir("fig5_typo");
+    let output = Command::new(env!("CARGO_BIN_EXE_fig5"))
+        .arg("medum")
+        .current_dir(&dir)
+        .output()
+        .expect("spawn fig5");
+    assert!(!output.status.success(), "`fig5 medum` succeeded");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.contains("unknown argument `medum`") && stderr.contains("usage:"),
+        "{stderr}"
+    );
+    assert!(output.stdout.is_empty(), "fig5 printed before failing");
+    assert!(!dir.join("results").exists(), "fig5 wrote under results/");
+    std::fs::remove_dir_all(dir).ok();
+}
 
 /// The store contract from ISSUE/DESIGN §9: `--store` is invisible in
 /// every output byte. A recording pass (`--jobs 1`, cold store), a

@@ -22,14 +22,14 @@ use dee_isa::parse::parse_program;
 use dee_levo::{Levo, LevoConfig, LevoReport, PredictorKind};
 use dee_predict::{AlwaysTaken, BranchPredictor, Gshare, PapAdaptive, TwoBitCounter};
 use dee_snap::Snapshot;
-use dee_store::{ArtifactKey, Store};
+use dee_store::{fnv1a, fnv1a_words, ArtifactKey, Store};
 use dee_vm::{
     trace_program_with, Engine, Machine, Trace, TraceChunkSource, TraceChunks, TraceRecord,
     DEFAULT_CHUNK_RECORDS,
 };
 use dee_workloads::{Scale, Workload};
 
-use crate::cache::{fnv1a, fnv1a_words, CacheKey, PreparedCache, PreparedEntry};
+use crate::cache::{CacheKey, PreparedCache, PreparedEntry};
 use crate::faults::{FaultPlan, FaultSite};
 use crate::json::Json;
 use crate::metrics::Metrics;
@@ -134,13 +134,7 @@ fn parse_et(body: &Json) -> Result<u32, ApiError> {
 }
 
 fn scale_by_name(name: &str) -> Result<Scale, ApiError> {
-    match name {
-        "tiny" => Ok(Scale::Tiny),
-        "small" => Ok(Scale::Small),
-        "medium" => Ok(Scale::Medium),
-        "large" => Ok(Scale::Large),
-        other => Err(ApiError::bad_request(format!("unknown scale `{other}`"))),
-    }
+    Scale::parse(name).ok_or_else(|| ApiError::bad_request(format!("unknown scale `{name}`")))
 }
 
 fn workload_by_name(name: &str, scale: Scale) -> Result<Workload, ApiError> {
@@ -208,7 +202,7 @@ fn resolve_source(body: &Json, faults: &FaultPlan) -> Result<Source, ApiError> {
             // would only burn worker time.
             let workload = workload_by_name(name, scale)?;
             Ok(Source {
-                label: format!("{name}/{scale:?}").to_ascii_lowercase(),
+                label: format!("{name}/{}", scale.name()),
                 memory: workload.initial_memory.clone(),
                 program: workload.program,
             })
@@ -1214,7 +1208,7 @@ pub fn handle_debug_at(
     }
     let w = workload_by_name(workload, scale)?;
     let source = Source {
-        label: format!("{workload}/{scale:?}").to_ascii_lowercase(),
+        label: format!("{workload}/{}", scale.name()),
         memory: w.initial_memory.clone(),
         program: w.program,
     };

@@ -76,6 +76,14 @@ mod tests {
     }
 
     #[test]
+    fn fnv_is_stable_and_distinguishes() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
+        assert_ne!(fnv1a_words(&[1, 2]), fnv1a_words(&[2, 1]));
+        assert_eq!(fnv1a_words(&[]), fnv1a(b""));
+    }
+
+    #[test]
     fn put_load_round_trip() {
         let dir = scratch("round_trip");
         let store = Store::open(&dir).unwrap();

@@ -68,9 +68,8 @@ pub fn verify_snapshot_bytes(bytes: &[u8]) -> Result<(), String> {
     Ok(())
 }
 
-/// FNV-1a 64-bit hash — the same stable, dependency-free digest the serve
-/// cache uses, duplicated here so `dee-store` stays foundation-level (it
-/// must not depend on `dee-serve`).
+/// FNV-1a 64-bit hash — tiny, dependency-free, stable across runs. The
+/// artifact keys below and the serve cache keys both digest with it.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;

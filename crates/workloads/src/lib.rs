@@ -83,6 +83,24 @@ impl Scale {
     pub fn all() -> [Scale; 4] {
         [Scale::Tiny, Scale::Small, Scale::Medium, Scale::Large]
     }
+
+    /// Parses a lower-case scale name (`tiny|small|medium|large`), the
+    /// spelling every CLI flag, request field and artifact tag uses.
+    #[must_use]
+    pub fn parse(s: &str) -> Option<Self> {
+        Scale::all().into_iter().find(|scale| scale.name() == s)
+    }
+
+    /// The stable lower-case name, the inverse of [`Scale::parse`].
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Tiny => "tiny",
+            Scale::Small => "small",
+            Scale::Medium => "medium",
+            Scale::Large => "large",
+        }
+    }
 }
 
 /// A ready-to-run benchmark: program, input image, and the reference
@@ -195,6 +213,16 @@ impl XorShift32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scale_names_round_trip() {
+        for scale in Scale::all() {
+            assert_eq!(Scale::parse(scale.name()), Some(scale));
+            assert_eq!(scale.name(), format!("{scale:?}").to_ascii_lowercase());
+        }
+        assert_eq!(Scale::parse("Tiny"), None);
+        assert_eq!(Scale::parse("medum"), None);
+    }
 
     #[test]
     fn all_workloads_present_and_named() {

@@ -388,14 +388,7 @@ fn model_by_name(name: &str) -> Option<Model> {
 }
 
 fn workload_scale(name: &str) -> Result<dee::workloads::Scale, String> {
-    use dee::workloads::Scale;
-    match name {
-        "tiny" => Ok(Scale::Tiny),
-        "small" => Ok(Scale::Small),
-        "medium" => Ok(Scale::Medium),
-        "large" => Ok(Scale::Large),
-        other => Err(format!("unknown scale `{other}`")),
-    }
+    dee::workloads::Scale::parse(name).ok_or_else(|| format!("unknown scale `{name}`"))
 }
 
 fn workload_by_name(
