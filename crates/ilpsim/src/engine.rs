@@ -13,20 +13,23 @@ use dee_core::{ee_depth, StaticTree, TreeParams};
 use crate::model::{LatencyModel, Model, SimConfig};
 use crate::prepare::{
     InstrClass, PreparedTrace, META_CLASS_SHIFT, META_DST_SHIFT, META_HAS_READ, META_HAS_WRITE,
-    META_IS_COND, META_MISPREDICT, META_REG_MASK, META_REG_SLOTS, META_SRC2_SHIFT, META_TAKEN,
+    META_IS_COND, META_MISPREDICT, META_REG_MASK, META_REG_SLOTS, META_SRC2_SHIFT,
 };
 use crate::stats::SimOutcome;
+
+#[cfg(test)]
+pub(crate) mod reference;
 
 /// Maximum tree level tracked in the resolve-location histogram.
 const LEVEL_HISTOGRAM_CAP: usize = 64;
 
-/// One pending misprediction penalty.
+/// One pending misprediction penalty over a finite CD region.
 struct Barrier {
     /// Branch path of the mispredicted branch.
-    path: u32,
+    path: usize,
     /// Earliest cycle affected instructions may execute (resolve + 1).
     time: u32,
-    /// First dynamic position no longer affected (`u32::MAX` = all later).
+    /// First dynamic position no longer affected.
     end_pos: u32,
     /// DEE coverage: instructions within this many paths after the branch
     /// are exempt (they executed down the DEE path).
@@ -49,10 +52,12 @@ struct Barrier {
 /// ```
 #[must_use]
 pub fn simulate(prepared: &PreparedTrace, config: &SimConfig) -> SimOutcome {
-    if config.model == Model::Oracle {
-        simulate_oracle(prepared, config)
-    } else {
-        simulate_constrained(prepared, config)
+    match config.model {
+        Model::Oracle => simulate_oracle(prepared, config),
+        // EE covers both sides of every branch: no mispredict penalties.
+        Model::Ee => simulate_constrained::<true, false>(prepared, config),
+        model if model.is_mf() => simulate_constrained::<true, true>(prepared, config),
+        _ => simulate_constrained::<false, true>(prepared, config),
     }
 }
 
@@ -75,8 +80,8 @@ fn latency_table(latency: &LatencyModel) -> [u32; 4] {
 /// latency when present (for memory records), else the class latency.
 #[inline]
 fn meta_latency(m: u32, table: &[u32; 4], mem_override: Option<&[u32]>, i: usize) -> u32 {
-    if m & (META_HAS_READ | META_HAS_WRITE) != 0 {
-        if let Some(mem) = mem_override {
+    if let Some(mem) = mem_override {
+        if m & (META_HAS_READ | META_HAS_WRITE) != 0 {
             return mem[i].max(1);
         }
     }
@@ -240,7 +245,14 @@ fn simulate_oracle(prepared: &PreparedTrace, config: &SimConfig) -> SimOutcome {
     )
 }
 
-fn simulate_constrained(prepared: &PreparedTrace, config: &SimConfig) -> SimOutcome {
+/// One in-order pass for a constrained model. `MF` is the model's
+/// [`is_mf`](Model::is_mf) and `PENALTIES` whether mispredicts cost
+/// anything (all but EE), as constants, so each instantiation carries only
+/// its own bookkeeping.
+fn simulate_constrained<const MF: bool, const PENALTIES: bool>(
+    prepared: &PreparedTrace,
+    config: &SimConfig,
+) -> SimOutcome {
     let n = prepared.len;
     let model = config.model;
 
@@ -256,13 +268,12 @@ fn simulate_constrained(prepared: &PreparedTrace, config: &SimConfig) -> SimOutc
             (tree.mainline_len(), tree.h_dee())
         }
     });
-    let window: u32 = match model {
+    let window = match model {
         Model::Ee => ee_depth(config.et).max(1),
         Model::Dee | Model::DeeCd | Model::DeeCdMf => dee_shape.expect("built above").0,
         _ => config.et,
-    };
-    let serialized = !model.is_mf();
-    let penalties = model != Model::Ee; // EE covers both sides of every branch
+    } as usize;
+    let h_dee = dee_shape.map_or(0, |(_, h)| h);
     let mut pe = config.max_pe.map(PeSchedule::new);
 
     let mut reg_time = [0u32; META_REG_SLOTS];
@@ -274,27 +285,35 @@ fn simulate_constrained(prepared: &PreparedTrace, config: &SimConfig) -> SimOutc
     // Branch-path index of the current record: advances past each
     // conditional branch, reproducing the prepare-time numbering without
     // streaming a separate per-record column.
-    let mut path = 0u32;
-    let mut retire: Vec<u32> = Vec::with_capacity(prepared.num_paths as usize);
+    let mut path = 0usize;
+    // Path `p` retires once it and every older path have executed, so its
+    // retire time is the running maximum completion at its branch; path
+    // `p + window` enters the cycle after. `retire[p + window]` holds it,
+    // and the `window` leading zeros let the first paths enter at cycle 1.
+    let mut retire = vec![0u32; window + prepared.num_paths as usize];
+    // Serialized branches resolve in increasing order, hence always at the
+    // root: only the -MF models keep the last `window` resolve times.
+    // Zeros stand for branches not yet seen: no resolve is ever below 1.
+    let mut resolves = vec![0u32; if MF && PENALTIES { window } else { 0 }];
+    let mut resolve_slot = 0usize;
+    // A restrictive barrier (one with no CD-region end) only ever raises
+    // the floor on the first record of the path past its DEE coverage, at
+    // most `h_DEE + 1` paths ahead: pending raises wait in a ring keyed by
+    // that path. Stale slots are harmless, since the floor never falls.
+    let fold_slots = (h_dee as usize + 2).next_power_of_two();
+    let mut folds = vec![0u32; fold_slots];
+    // Barriers with a finite CD-region end, checked on every record.
     let mut barriers: Vec<Barrier> = Vec::new();
+    let mut cd_ends = prepared.cd_end.iter();
     let mut global_floor = 0u32;
     let mut prev_branch_exec = 0u32;
-    let mut path_max_exec = 0u32;
     let mut total = 0u32;
     let mut histogram = vec![0u64; LEVEL_HISTOGRAM_CAP];
-    // Resolve times of the branches still potentially unresolved: only
-    // branches within the window can be pending (anything older retired
-    // before the current path entered, hence resolved earlier).
-    let mut recent_branch_exec: std::collections::VecDeque<u32> =
-        std::collections::VecDeque::with_capacity(window as usize + 1);
 
     for (i, &m) in prepared.meta.iter().enumerate() {
+        global_floor = global_floor.max(folds[path & (fold_slots - 1)]);
         // Window entry: the tree covers `window` consecutive real paths.
-        let entry = if path < window {
-            1
-        } else {
-            retire[(path - window) as usize] + 1
-        };
+        let entry = retire[path] + 1;
 
         // Minimal data dependences.
         let mut ready = reg_time[(m & META_REG_MASK) as usize]
@@ -306,34 +325,26 @@ fn simulate_constrained(prepared: &PreparedTrace, config: &SimConfig) -> SimOutc
         let lat = meta_latency(m, &table, mem_override, i);
         let mut exec = (ready + 1).max(entry).max(global_floor);
 
-        // Active misprediction barriers.
+        // Active CD-region misprediction barriers.
         if !barriers.is_empty() {
-            let mut k = 0;
-            while k < barriers.len() {
-                let b = &barriers[k];
-                if (i as u32) >= b.end_pos {
-                    barriers.swap_remove(k);
-                    continue;
+            barriers.retain(|b| {
+                if i as u32 >= b.end_pos {
+                    return false;
                 }
-                if b.end_pos == u32::MAX && path > b.path + b.cov_paths {
-                    // Restrictive barrier past its coverage window applies
-                    // to everything from here on: fold into the floor.
-                    global_floor = global_floor.max(b.time);
-                    exec = exec.max(b.time);
-                    barriers.swap_remove(k);
-                    continue;
-                }
-                if path > b.path + b.cov_paths {
+                if path > b.path + b.cov_paths as usize {
                     exec = exec.max(b.time);
                 }
-                k += 1;
-            }
+                true
+            });
         }
 
         let is_branch = m & META_IS_COND != 0;
-        if is_branch && serialized {
-            exec = exec.max(prev_branch_exec + 1);
-        }
+        let serial_floor = if is_branch && !MF {
+            prev_branch_exec + 1
+        } else {
+            0
+        };
+        exec = exec.max(serial_floor);
 
         // Explicit PE limit: greedy in-order issue into the first free
         // slot at or after the earliest feasible cycle.
@@ -352,55 +363,48 @@ fn simulate_constrained(prepared: &PreparedTrace, config: &SimConfig) -> SimOutc
             let addr = *writes.next().expect("write stream matches meta") as usize;
             mem_time[addr] = done;
         }
-        path_max_exec = path_max_exec.max(done);
         total = total.max(done);
-
-        if is_branch {
-            let resolve = done;
-            prev_branch_exec = resolve;
-            // This path retires once fully executed, in order.
-            let retire_time = retire.last().copied().unwrap_or(0).max(path_max_exec);
-            retire.push(retire_time);
-            path_max_exec = 0;
-            recent_branch_exec.push_back(resolve);
-            if recent_branch_exec.len() > window as usize {
-                recent_branch_exec.pop_front();
+        retire[path + window] = total;
+        if MF && PENALTIES {
+            // The current path's slot: its branch's resolve, once written.
+            resolves[resolve_slot] = done;
+            resolve_slot += usize::from(is_branch);
+            if resolve_slot == window {
+                resolve_slot = 0;
             }
+        }
 
-            if penalties && m & META_MISPREDICT != 0 {
-                // Tree level at resolution: one plus the number of older
-                // branches still unresolved when this one resolves — "as
-                // branches resolve at the top of the tree, the tree moves
-                // down" (§3.1); the DEE paths hang off the first h pending
-                // branches.
-                let older_unresolved =
-                    recent_branch_exec.iter().filter(|&&e| e > resolve).count() as u32;
-                let level = older_unresolved + 1;
-                let idx = (level as usize - 1).min(LEVEL_HISTOGRAM_CAP - 1);
-                histogram[idx] += 1;
+        if PENALTIES && m & META_MISPREDICT != 0 {
+            // Tree level at resolution: one plus the number of older
+            // branches still unresolved when this one resolves — "as
+            // branches resolve at the top of the tree, the tree moves
+            // down" (§3.1); the DEE paths hang off the first h pending
+            // branches.
+            let older_unresolved = resolves.iter().filter(|&&e| e > done).count() as u32;
+            let level = older_unresolved + 1;
+            let idx = (level as usize - 1).min(LEVEL_HISTOGRAM_CAP - 1);
+            histogram[idx] += 1;
+            let cov = if level > h_dee { 0 } else { h_dee - level + 1 };
 
-                let cov = dee_shape.map_or(0, |(_, h)| {
-                    if level == 0 || level > h {
-                        0
-                    } else {
-                        h - level + 1
-                    }
-                });
-
-                let end_pos = if model.is_cd() {
-                    cd_region_end(prepared, config, i)
-                } else {
-                    u32::MAX
-                };
+            let end_pos = if model.is_cd() {
+                *cd_ends.next().expect("one CD-region end per mispredict")
+            } else {
+                u32::MAX
+            };
+            if end_pos == u32::MAX {
+                let slot = &mut folds[(path + cov as usize + 1) & (fold_slots - 1)];
+                *slot = (*slot).max(done + 1);
+            } else {
                 barriers.push(Barrier {
                     path,
-                    time: resolve + 1,
+                    time: done + 1,
                     end_pos,
                     cov_paths: cov,
                 });
             }
-            path += 1;
         }
+        prev_branch_exec = if is_branch { done } else { prev_branch_exec };
+        path += usize::from(is_branch);
     }
 
     SimOutcome::new(
@@ -413,41 +417,6 @@ fn simulate_constrained(prepared: &PreparedTrace, config: &SimConfig) -> SimOutc
         prepared.num_mispredicts(),
         histogram,
     )
-}
-
-/// First dynamic position no longer control-dependent on the mispredicted
-/// branch at `i`, under reduced control dependences.
-///
-/// If the *predicted* (wrong) direction can re-reach the branch before its
-/// reconvergence point, the wrong path crosses an iteration boundary and the
-/// operand context of everything younger is invalid: the penalty is
-/// restrictive (`u32::MAX`). Otherwise the penalty ends at the first dynamic
-/// occurrence of the branch's reconvergence point at the same call depth
-/// (scan capped at `max_cd_scan`).
-fn cd_region_end(prepared: &PreparedTrace, config: &SimConfig, i: usize) -> u32 {
-    let pc = prepared.pcs[i] as usize;
-    // Mispredicted: the predicted direction is the opposite of the actual
-    // direction packed into the meta word.
-    let predicted_taken = prepared.meta[i] & META_TAKEN == 0;
-    let loops_back = if predicted_taken {
-        prepared.loops_back_taken[pc]
-    } else {
-        prepared.loops_back_fall[pc]
-    };
-    if loops_back {
-        return u32::MAX;
-    }
-    let Some(join_pc) = prepared.reconv[pc] else {
-        return u32::MAX; // reconverges only at program exit
-    };
-    let depth = prepared.depths[i];
-    let limit = prepared.len.min(i + 1 + config.max_cd_scan as usize);
-    for j in i + 1..limit {
-        if prepared.pcs[j] == join_pc && prepared.depths[j] == depth {
-            return j as u32;
-        }
-    }
-    (i + 1 + config.max_cd_scan as usize).min(u32::MAX as usize) as u32
 }
 
 #[cfg(test)]

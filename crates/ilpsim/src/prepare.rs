@@ -4,35 +4,25 @@ use dee_predict::{BranchPredictor, TwoBitCounter};
 use dee_vm::{Trace, TraceChunkSource, TraceRecord};
 
 /// A trace annotated with everything the models need: per-record
-/// misprediction flags (from a predictor replay), per-static-branch
-/// reconvergence points (immediate post-dominators), and branch-path
-/// indices.
+/// misprediction flags (from a predictor replay), the end of each
+/// mispredicted branch's control-dependence region, and branch-path
+/// boundaries.
 ///
 /// Preparing once and simulating many configurations amortizes the
-/// predictor replay and CFG analysis across the whole parameter sweep.
-/// The representation is *columnar*: instead of holding the 40-byte
-/// [`TraceRecord`]s, the models' hot loops read three dense per-record
-/// columns (`meta`, `pcs`, `depths`, ~12 bytes/record) plus the load and
-/// store address streams. Nothing here borrows the input trace, so a
-/// prepared trace can be built incrementally from bounded chunks (see
-/// [`PreparedTraceBuilder`]) and the full record vector never needs to
-/// exist in memory at all.
+/// predictor replay, CFG analysis and reconvergence search across the
+/// whole parameter sweep. The representation is *columnar*: instead of
+/// holding the 40-byte [`TraceRecord`]s, the models' hot loops read one
+/// dense per-record column (`meta`, 4 bytes/record), one word per
+/// mispredict (`cd_end`), and the load and store address streams. Nothing
+/// here borrows the input trace, so a prepared trace can be built
+/// incrementally from bounded chunks (see [`PreparedTraceBuilder`]) and
+/// the full record vector never needs to exist in memory at all.
 #[derive(Clone, Debug)]
 pub struct PreparedTrace {
     /// Number of dynamic records.
     pub(crate) len: usize,
-    /// Per static pc: the branch's reconvergence point, if any.
-    pub(crate) reconv: Vec<Option<u32>>,
     /// Number of branch paths.
     pub(crate) num_paths: u32,
-    /// Per static pc: starting down the branch's *taken* side, can control
-    /// re-reach the branch without passing its reconvergence point? (True
-    /// for loop-closing directions: a wrong path that crosses an iteration
-    /// boundary invalidates the operand context of everything younger, so
-    /// `-CD` models treat such mispredicts restrictively.)
-    pub(crate) loops_back_taken: Vec<bool>,
-    /// Same, for the fall-through side.
-    pub(crate) loops_back_fall: Vec<bool>,
     /// Per dynamic record: every field the hot simulate loops touch, fused
     /// into one u32 (see the `META_*` constants): source and destination
     /// register slots, memory-access and conditional-branch flags, the
@@ -40,10 +30,10 @@ pub struct PreparedTrace {
     /// 4-byte load per record per cell instead of re-matching the ~40-byte
     /// `TraceRecord`.
     pub(crate) meta: Vec<u32>,
-    /// Per dynamic record: the static pc (for `-CD` reconvergence scans).
-    pub(crate) pcs: Vec<u32>,
-    /// Per dynamic record: the call depth (for `-CD` reconvergence scans).
-    pub(crate) depths: Vec<u32>,
+    /// Per mispredicted branch, in trace order: the first dynamic record
+    /// no longer control-dependent on it, or `u32::MAX` when its `-CD`
+    /// penalty is restrictive (see [`PreparedTraceBuilder`]).
+    pub(crate) cd_end: Vec<u32>,
     /// Effective word addresses of loads, in record order (records with
     /// the `META_HAS_READ` bit consume one entry each).
     pub(crate) read_addrs: Vec<u32>,
@@ -219,15 +209,26 @@ impl PreparedTrace {
 /// computed once up front; each pushed record is packed into the columnar
 /// form and replayed through the predictor in stream order. Feeding the
 /// same records in any chunking therefore yields bit-identical results.
+///
+/// The `-CD` models need, per mispredicted branch at record `i`, the first
+/// record no longer control-dependent on it. If the *predicted* (wrong)
+/// direction can re-reach the branch before its reconvergence point, the
+/// wrong path crosses an iteration boundary and the operand context of
+/// everything younger is invalid: the region never ends (`u32::MAX`).
+/// Otherwise it ends at the first later record at the branch's
+/// reconvergence pc and the same call depth, searched at most
+/// [`CD_SCAN_CAP`] records ahead; a join further away ends the region at
+/// `i + 1 + CD_SCAN_CAP`. The search depends only on the trace, so the
+/// builder runs it once, in stream order: an open region waits on its
+/// join pc and closes when a record there arrives.
 pub struct PreparedTraceBuilder<'p> {
     class_of: Vec<InstrClass>,
-    reconv: Vec<Option<u32>>,
-    loops_back_taken: Vec<bool>,
-    loops_back_fall: Vec<bool>,
+    branches: BranchCfg,
     predictor: &'p mut dyn BranchPredictor,
     meta: Vec<u32>,
-    pcs: Vec<u32>,
-    depths: Vec<u32>,
+    cd_end: Vec<u32>,
+    /// Per join pc: the open `-CD` regions waiting to reconverge there.
+    cd_open: Vec<Vec<OpenRegion>>,
     read_addrs: Vec<u32>,
     write_addrs: Vec<u32>,
     mem_words: usize,
@@ -235,6 +236,17 @@ pub struct PreparedTraceBuilder<'p> {
     num_branches: u64,
     wrong: u64,
     last_was_branch: bool,
+}
+
+/// A mispredicted branch whose control-dependence region has not closed.
+#[derive(Clone, Copy)]
+struct OpenRegion {
+    /// Index of the region's entry in the `cd_end` column.
+    ordinal: u32,
+    /// Dynamic position of the branch.
+    pos: usize,
+    /// Call depth of the branch; the join must match it.
+    depth: u32,
 }
 
 impl<'p> PreparedTraceBuilder<'p> {
@@ -257,31 +269,13 @@ impl<'p> PreparedTraceBuilder<'p> {
             })
             .collect();
 
-        let cfg = Cfg::new(program);
-        let postdoms = cfg.postdominators();
-        let mut reconv = vec![None; program.len()];
-        let mut loops_back_taken = vec![false; program.len()];
-        let mut loops_back_fall = vec![false; program.len()];
-        for pc in program.cond_branch_pcs() {
-            reconv[pc as usize] = postdoms.reconvergence(pc);
-            let (target, fall) = match program[pc] {
-                dee_isa::Instr::Branch { target, .. } => (target, pc + 1),
-                _ => unreachable!("cond_branch_pcs returns branches"),
-            };
-            let stop = reconv[pc as usize];
-            loops_back_taken[pc as usize] = reaches_without(&cfg, target, pc, stop);
-            loops_back_fall[pc as usize] = reaches_without(&cfg, fall, pc, stop);
-        }
-
         PreparedTraceBuilder {
             class_of,
-            reconv,
-            loops_back_taken,
-            loops_back_fall,
+            branches: BranchCfg::new(program),
             predictor,
             meta: Vec::new(),
-            pcs: Vec::new(),
-            depths: Vec::new(),
+            cd_end: Vec::new(),
+            cd_open: vec![Vec::new(); program.len()],
             read_addrs: Vec::new(),
             write_addrs: Vec::new(),
             mem_words: 0,
@@ -295,13 +289,26 @@ impl<'p> PreparedTraceBuilder<'p> {
     /// Pre-sizes the per-record columns for `records` entries.
     pub fn reserve(&mut self, records: usize) {
         self.meta.reserve(records);
-        self.pcs.reserve(records);
-        self.depths.reserve(records);
     }
 
     /// Packs one dynamic record into the columns and replays it through
     /// the predictor.
     pub fn push_record(&mut self, record: &TraceRecord) {
+        let i = self.meta.len();
+        let open = &mut self.cd_open[record.pc as usize];
+        if !open.is_empty() {
+            let cd_end = &mut self.cd_end;
+            open.retain(|region| {
+                if i - region.pos > CD_SCAN_CAP as usize {
+                    return false; // past the scan cap: keeps its default end
+                }
+                if record.depth != region.depth {
+                    return true;
+                }
+                cd_end[region.ordinal as usize] = i as u32;
+                false
+            });
+        }
         let class = self.class_of[record.pc as usize];
         self.class_counts[class as usize] += 1;
         let mut m = record.srcs[0].map_or(META_READ_SINK, |r| r.index() as u32)
@@ -327,14 +334,39 @@ impl<'p> PreparedTraceBuilder<'p> {
             if self.predictor.predict(record.pc) != outcome.taken {
                 m |= META_MISPREDICT;
                 self.wrong += 1;
+                self.open_cd_region(record, i, !outcome.taken);
             }
             self.predictor.resolve(record.pc, outcome.taken);
             self.num_branches += 1;
             self.last_was_branch = true;
         }
         self.meta.push(m);
-        self.pcs.push(record.pc);
-        self.depths.push(record.depth);
+    }
+
+    /// Appends the `cd_end` entry for the mispredicted branch at record
+    /// `i`, whose predictor guessed `predicted_taken`: restrictive, or the
+    /// scan-cap default until its join arrives.
+    fn open_cd_region(&mut self, record: &TraceRecord, i: usize, predicted_taken: bool) {
+        let pc = record.pc as usize;
+        let ordinal = self.cd_end.len() as u32;
+        let loops_back = if predicted_taken {
+            self.branches.loops_back_taken[pc]
+        } else {
+            self.branches.loops_back_fall[pc]
+        };
+        match self.branches.reconv[pc] {
+            Some(join) if !loops_back => {
+                self.cd_end
+                    .push(u32::try_from(i + 1 + CD_SCAN_CAP as usize).unwrap_or(u32::MAX));
+                self.cd_open[join as usize].push(OpenRegion {
+                    ordinal,
+                    pos: i,
+                    depth: record.depth,
+                });
+            }
+            // Loops back, or reconverges only at program exit.
+            _ => self.cd_end.push(u32::MAX),
+        }
     }
 
     /// Pushes a batch of records in order.
@@ -368,13 +400,9 @@ impl<'p> PreparedTraceBuilder<'p> {
         };
         PreparedTrace {
             len: self.meta.len(),
-            reconv: self.reconv,
             num_paths,
-            loops_back_taken: self.loops_back_taken,
-            loops_back_fall: self.loops_back_fall,
             meta: self.meta,
-            pcs: self.pcs,
-            depths: self.depths,
+            cd_end: self.cd_end,
             read_addrs: self.read_addrs,
             write_addrs: self.write_addrs,
             mem_words: self.mem_words,
@@ -415,6 +443,50 @@ pub(crate) const META_READ_SINK: u32 = 63;
 
 /// Slot absent destinations write: nothing ever reads it.
 pub(crate) const META_WRITE_SINK: u32 = 62;
+
+/// How far ahead of a mispredicted branch the `-CD` reconvergence search
+/// looks; a join further away ends the region at the cap.
+pub(crate) const CD_SCAN_CAP: u32 = 4096;
+
+/// Per static conditional branch, what the `-CD` region search needs from
+/// the program's CFG.
+pub(crate) struct BranchCfg {
+    /// Per static pc: the branch's reconvergence point, if any.
+    pub(crate) reconv: Vec<Option<u32>>,
+    /// Per static pc: starting down the branch's *taken* side, can control
+    /// re-reach the branch without passing its reconvergence point? (True
+    /// for loop-closing directions: a wrong path that crosses an iteration
+    /// boundary invalidates the operand context of everything younger, so
+    /// `-CD` models treat such mispredicts restrictively.)
+    pub(crate) loops_back_taken: Vec<bool>,
+    /// Same, for the fall-through side.
+    pub(crate) loops_back_fall: Vec<bool>,
+}
+
+impl BranchCfg {
+    pub(crate) fn new(program: &Program) -> Self {
+        let cfg = Cfg::new(program);
+        let postdoms = cfg.postdominators();
+        let mut reconv = vec![None; program.len()];
+        let mut loops_back_taken = vec![false; program.len()];
+        let mut loops_back_fall = vec![false; program.len()];
+        for pc in program.cond_branch_pcs() {
+            reconv[pc as usize] = postdoms.reconvergence(pc);
+            let (target, fall) = match program[pc] {
+                dee_isa::Instr::Branch { target, .. } => (target, pc + 1),
+                _ => unreachable!("cond_branch_pcs returns branches"),
+            };
+            let stop = reconv[pc as usize];
+            loops_back_taken[pc as usize] = reaches_without(&cfg, target, pc, stop);
+            loops_back_fall[pc as usize] = reaches_without(&cfg, fall, pc, stop);
+        }
+        BranchCfg {
+            reconv,
+            loops_back_taken,
+            loops_back_fall,
+        }
+    }
+}
 
 /// Latency class of a static instruction (see
 /// [`LatencyModel`](crate::LatencyModel)).
@@ -547,10 +619,9 @@ mod tests {
         // records: li, addi, bgt(taken), addi, bgt(not taken), halt
         assert_ne!(prepared.meta[2] & META_TAKEN, 0);
         assert_eq!(prepared.meta[4] & META_TAKEN, 0);
-        for (i, rec) in t.records().iter().enumerate() {
-            assert_eq!(prepared.pcs[i], rec.pc);
-            assert_eq!(prepared.depths[i], rec.depth);
-        }
+        // The one mispredict is the loop exit: its predicted (taken) side
+        // loops back, so the -CD penalty is restrictive.
+        assert_eq!(prepared.cd_end, vec![u32::MAX]);
         assert_eq!(prepared.output(), t.output());
     }
 
@@ -597,24 +668,22 @@ mod tests {
 
     #[test]
     fn reconvergence_computed_for_branches_only() {
-        let (p, t) = countdown(2);
-        let prepared = PreparedTrace::new(&p, &t);
+        let (p, _) = countdown(2);
+        let branches = BranchCfg::new(&p);
         // Static pc 2 is the loop branch, reconverging at halt (pc 3).
-        assert_eq!(prepared.reconv[2], Some(3));
-        assert_eq!(prepared.reconv[0], None);
-        assert_eq!(prepared.reconv[1], None);
-        let _ = t;
+        assert_eq!(branches.reconv[2], Some(3));
+        assert_eq!(branches.reconv[0], None);
+        assert_eq!(branches.reconv[1], None);
     }
 
     #[test]
     fn loop_back_edges_classified() {
-        let (p, t) = countdown(2);
-        let prepared = PreparedTrace::new(&p, &t);
+        let (p, _) = countdown(2);
+        let branches = BranchCfg::new(&p);
         // pc 2: bgt -> pc 1 (backward). Taken side loops back to the
         // branch; fall-through exits.
-        assert!(prepared.loops_back_taken[2]);
-        assert!(!prepared.loops_back_fall[2]);
-        let _ = t;
+        assert!(branches.loops_back_taken[2]);
+        assert!(!branches.loops_back_fall[2]);
     }
 
     #[test]
@@ -629,10 +698,9 @@ mod tests {
         asm.label("join");
         asm.halt();
         let p = asm.assemble().unwrap();
-        let t = trace_program(&p, &[], 100).unwrap();
-        let prepared = PreparedTrace::new(&p, &t);
-        assert!(!prepared.loops_back_taken[0]);
-        assert!(!prepared.loops_back_fall[0]);
+        let branches = BranchCfg::new(&p);
+        assert!(!branches.loops_back_taken[0]);
+        assert!(!branches.loops_back_fall[0]);
     }
 
     #[test]
@@ -649,11 +717,10 @@ mod tests {
         asm.label("exit");
         asm.halt(); // 4
         let p = asm.assemble().unwrap();
-        let t = trace_program(&p, &[], 100).unwrap();
-        let prepared = PreparedTrace::new(&p, &t);
-        assert!(!prepared.loops_back_taken[1], "taken side exits");
+        let branches = BranchCfg::new(&p);
+        assert!(!branches.loops_back_taken[1], "taken side exits");
         assert!(
-            prepared.loops_back_fall[1],
+            branches.loops_back_fall[1],
             "fall-through re-reaches the test"
         );
     }
@@ -669,17 +736,28 @@ mod tests {
         assert_eq!(prepared.accuracy(), 1.0);
     }
 
-    /// The streaming cornerstone: any chunking of the same record stream
-    /// produces a bit-identical prepared trace.
-    #[test]
-    fn from_source_identical_to_with_predictor_at_every_chunk_size() {
+    /// A loop whose body branches on the counter's parity (often
+    /// mispredicted), runs a 20-trip inner loop on odd trips, and calls a
+    /// helper: ~50-record CD regions that straddle chunk boundaries at
+    /// every chunk size below.
+    fn parity_loop() -> (Program, Trace) {
         let mut asm = Assembler::new();
-        let (r1, r2) = (Reg::new(1), Reg::new(2));
-        asm.li(r1, 25);
+        let (r1, r2, r3, r4) = (Reg::new(1), Reg::new(2), Reg::new(3), Reg::new(4));
+        asm.li(r1, 200);
         asm.li(r2, 0);
         asm.label("top");
         asm.sw(r1, Reg::ZERO, 40);
         asm.lw(r2, Reg::ZERO, 40);
+        asm.andi(r3, r1, 1);
+        asm.beq_label(r3, Reg::ZERO, "even");
+        asm.li(r4, 20);
+        asm.label("spin");
+        asm.addi(r4, r4, -1);
+        asm.bgt_label(r4, Reg::ZERO, "spin");
+        asm.j_label("join");
+        asm.label("even");
+        asm.addi(r2, r2, 2);
+        asm.label("join");
         asm.call_label("bump");
         asm.bgt_label(r1, Reg::ZERO, "top");
         asm.out(r2);
@@ -689,15 +767,30 @@ mod tests {
         asm.ret();
         let p = asm.assemble().unwrap();
         let t = trace_program(&p, &[], 100_000).unwrap();
+        (p, t)
+    }
+
+    /// The streaming cornerstone: any chunking of the same record stream
+    /// produces a bit-identical prepared trace, CD-region ends included.
+    #[test]
+    fn from_source_identical_to_with_predictor_at_every_chunk_size() {
+        let (p, t) = parity_loop();
         let whole = PreparedTrace::with_predictor(&p, &t, &mut TwoBitCounter::new());
-        for chunk in [1usize, 7, 4093, 1 << 16] {
+        let finite = whole.cd_end.iter().filter(|&&e| e != u32::MAX).count();
+        assert!(finite >= 50, "only {finite} finite CD regions");
+        for chunk in [1usize, 7, 4097, 1 << 16] {
+            // Some region opens before the chunk boundary and closes after.
+            let straddles = (0..whole.len)
+                .filter(|&i| whole.meta[i] & META_MISPREDICT != 0)
+                .zip(&whole.cd_end)
+                .any(|(i, &end)| i / chunk != (end as usize).min(whole.len - 1) / chunk);
+            assert!(straddles || chunk > whole.len, "chunk={chunk}");
             let mut source = TraceChunks::new(&t);
             let streamed =
                 PreparedTrace::from_source(&p, &mut source, chunk, &mut TwoBitCounter::new())
                     .unwrap();
             assert_eq!(streamed.meta, whole.meta, "chunk={chunk}");
-            assert_eq!(streamed.pcs, whole.pcs);
-            assert_eq!(streamed.depths, whole.depths);
+            assert_eq!(streamed.cd_end, whole.cd_end, "chunk={chunk}");
             assert_eq!(streamed.read_addrs, whole.read_addrs);
             assert_eq!(streamed.write_addrs, whole.write_addrs);
             assert_eq!(streamed.class_counts, whole.class_counts);
@@ -708,6 +801,43 @@ mod tests {
             assert_eq!(streamed.output(), whole.output());
             assert!((streamed.accuracy() - whole.accuracy()).abs() < 1e-15);
         }
+    }
+
+    #[test]
+    fn cd_end_matches_the_forward_scan() {
+        let (p, t) = parity_loop();
+        let prepared = PreparedTrace::new(&p, &t);
+        let cols = crate::engine::reference::RefColumns::new(&p, &t);
+        assert_eq!(
+            prepared.cd_end,
+            crate::engine::reference::cd_region_ends(&prepared, &cols)
+        );
+    }
+
+    #[test]
+    fn cd_end_stops_at_the_scan_cap() {
+        // 0: li ; 1: beq -> 5 (mispredicted: the counter guesses taken)
+        // 2..3: a 3000-trip loop ; 4: halt. The join lies ~6000 records
+        // past the branch, beyond the cap.
+        let mut asm = Assembler::new();
+        let r1 = Reg::new(1);
+        asm.li(r1, 3000);
+        asm.beq_label(r1, Reg::ZERO, "skip");
+        asm.label("spin");
+        asm.addi(r1, r1, -1);
+        asm.bgt_label(r1, Reg::ZERO, "spin");
+        asm.label("skip");
+        asm.halt();
+        let p = asm.assemble().unwrap();
+        let t = trace_program(&p, &[], 100_000).unwrap();
+        let prepared = PreparedTrace::new(&p, &t);
+        assert!(t.len() > 2 + CD_SCAN_CAP as usize);
+        assert_eq!(prepared.cd_end[0], 2 + CD_SCAN_CAP);
+        let cols = crate::engine::reference::RefColumns::new(&p, &t);
+        assert_eq!(
+            prepared.cd_end,
+            crate::engine::reference::cd_region_ends(&prepared, &cols)
+        );
     }
 
     #[test]
