@@ -10,9 +10,11 @@
 //! following §3.1 step 1 (the paper measured 90.53% on SPECint92 with the
 //! same 2-bit counter scheme).
 //!
-//! Every (benchmark, model, E_T) cell fans through [`dee_bench::pool`];
-//! each benchmark is prepared exactly once and shared across its cells, so
-//! output is byte-identical for any `--jobs` count.
+//! Every distinct (benchmark, canonical configuration) cell fans through
+//! [`dee_bench::pool`] once (see [`SimConfig::canonical`]); each benchmark
+//! is prepared exactly once and shared across its cells, so output is
+//! byte-identical for any `--jobs` count. stderr carries a
+//! `dee_bench_fig5_cells: requested=N distinct=M` line.
 
 use std::sync::Arc;
 
@@ -50,30 +52,45 @@ fn main() {
     // Cell grid: the oracle for each benchmark, then (benchmark, model,
     // E_T). Results come back in exactly this order regardless of --jobs.
     let num_b = suite.entries.len();
-    let mut cells: Vec<(usize, Option<(Model, u32)>)> = Vec::new();
+    let mut cells: Vec<(usize, SimConfig)> = Vec::new();
     for b in 0..num_b {
-        cells.push((b, None));
+        cells.push((b, SimConfig::new(Model::Oracle, 0)));
     }
     for b in 0..num_b {
         for model in models {
             for &et in &FIG5_RESOURCES {
-                cells.push((b, Some((model, et))));
+                cells.push((b, SimConfig::new(model, et).with_p(p)));
             }
         }
     }
-    let tasks: Vec<_> = cells
+    // Cells whose configurations share a canonical form have the same
+    // speedup (DEE at small E_T, whose tree is a pure SP chain, is SP), so
+    // each distinct (benchmark, canonical configuration) runs once.
+    let mut distinct: Vec<(usize, SimConfig)> = Vec::new();
+    let slots: Vec<usize> = cells
         .iter()
-        .map(|&(b, cfg)| {
-            let prepared = Arc::clone(&prepared[b]);
-            move || match cfg {
-                None => simulate(&prepared, &SimConfig::new(Model::Oracle, 0)).speedup(),
-                Some((model, et)) => {
-                    simulate(&prepared, &SimConfig::new(model, et).with_p(p)).speedup()
-                }
-            }
+        .map(|&(b, config)| {
+            let key = (b, config.canonical());
+            distinct.iter().position(|d| *d == key).unwrap_or_else(|| {
+                distinct.push(key);
+                distinct.len() - 1
+            })
         })
         .collect();
-    let flat = pool::run_sweep("fig5", jobs, tasks);
+    eprintln!(
+        "dee_bench_fig5_cells: requested={} distinct={}",
+        cells.len(),
+        distinct.len()
+    );
+    let tasks: Vec<_> = distinct
+        .iter()
+        .map(|&(b, config)| {
+            let prepared = Arc::clone(&prepared[b]);
+            move || simulate(&prepared, &config).speedup()
+        })
+        .collect();
+    let results = pool::run_sweep("fig5", jobs, tasks);
+    let flat: Vec<f64> = slots.iter().map(|&k| results[k]).collect();
 
     let oracles: Vec<f64> = flat[..num_b].to_vec();
     // speedups[benchmark][model][et]

@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use dee_core::{ee_depth, StaticTree, TreeParams};
+use dee_core::ee_depth;
 
 use crate::model::{LatencyModel, Model, SimConfig};
 use crate::prepare::{
@@ -36,6 +36,22 @@ struct Barrier {
     cov_paths: u32,
 }
 
+/// Drops the barriers whose CD region ends at or before position `pos`,
+/// and returns the floor the rest impose on path `path` (those past their
+/// DEE coverage) with the first position at which one of them lapses
+/// (`u32::MAX` when none is left).
+fn refresh_barriers(barriers: &mut Vec<Barrier>, pos: u32, path: usize) -> (u32, u32) {
+    barriers.retain(|b| b.end_pos > pos);
+    barriers.iter().fold((0, u32::MAX), |(floor, expiry), b| {
+        let floor = if path > b.path + b.cov_paths as usize {
+            floor.max(b.time)
+        } else {
+            floor
+        };
+        (floor, expiry.min(b.end_pos))
+    })
+}
+
 /// Runs one model over a prepared trace.
 ///
 /// # Example
@@ -52,12 +68,40 @@ struct Barrier {
 /// ```
 #[must_use]
 pub fn simulate(prepared: &PreparedTrace, config: &SimConfig) -> SimOutcome {
+    let class = latency_table(&config.latency);
+    match prepared.mem_latency.as_deref() {
+        None => simulate_with(prepared, config, &ClassLatency(class)),
+        Some(mem) => simulate_with(prepared, config, &MemLatency { class, mem }),
+    }
+}
+
+/// [`simulate`] with the latency source fixed: picks the issue discipline.
+fn simulate_with<L: Latency>(
+    prepared: &PreparedTrace,
+    config: &SimConfig,
+    latency: &L,
+) -> SimOutcome {
+    match config.max_pe {
+        None => simulate_issue(prepared, config, latency, Unlimited),
+        Some(cap) => simulate_issue(prepared, config, latency, PeSchedule::new(cap)),
+    }
+}
+
+/// [`simulate`] with latency and issue fixed: picks the model's pass.
+fn simulate_issue<L: Latency, I: Issue>(
+    prepared: &PreparedTrace,
+    config: &SimConfig,
+    latency: &L,
+    issue: I,
+) -> SimOutcome {
     match config.model {
-        Model::Oracle => simulate_oracle(prepared, config),
+        Model::Oracle => simulate_oracle(prepared, config, latency),
         // EE covers both sides of every branch: no mispredict penalties.
-        Model::Ee => simulate_constrained::<true, false>(prepared, config),
-        model if model.is_mf() => simulate_constrained::<true, true>(prepared, config),
-        _ => simulate_constrained::<false, true>(prepared, config),
+        Model::Ee => simulate_constrained::<true, false, L, I>(prepared, config, latency, issue),
+        model if model.is_mf() => {
+            simulate_constrained::<true, true, L, I>(prepared, config, latency, issue)
+        }
+        _ => simulate_constrained::<false, true, L, I>(prepared, config, latency, issue),
     }
 }
 
@@ -76,16 +120,39 @@ fn latency_table(latency: &LatencyModel) -> [u32; 4] {
     [latency.alu, latency.mul_div, latency.mem, latency.branch]
 }
 
-/// Latency of record `i` with packed meta `m`: the attached memory-system
-/// latency when present (for memory records), else the class latency.
-#[inline]
-fn meta_latency(m: u32, table: &[u32; 4], mem_override: Option<&[u32]>, i: usize) -> u32 {
-    if let Some(mem) = mem_override {
+/// Where a record's latency comes from. A type parameter of the passes,
+/// so the choice is made once per run instead of tested per record.
+trait Latency {
+    /// Latency of record `i`, whose packed meta word is `m`.
+    fn of(&self, m: u32, i: usize) -> u32;
+}
+
+/// Class latencies only: the paper's machine and every sweep.
+struct ClassLatency([u32; 4]);
+
+impl Latency for ClassLatency {
+    #[inline(always)]
+    fn of(&self, m: u32, _i: usize) -> u32 {
+        self.0[(m >> META_CLASS_SHIFT) as usize & 3]
+    }
+}
+
+/// Attached memory-system latencies for memory records, class latencies
+/// for the rest.
+struct MemLatency<'a> {
+    class: [u32; 4],
+    mem: &'a [u32],
+}
+
+impl Latency for MemLatency<'_> {
+    #[inline(always)]
+    fn of(&self, m: u32, i: usize) -> u32 {
         if m & (META_HAS_READ | META_HAS_WRITE) != 0 {
-            return mem[i].max(1);
+            self.mem[i].max(1)
+        } else {
+            self.class[(m >> META_CLASS_SHIFT) as usize & 3]
         }
     }
-    table[(m >> META_CLASS_SHIFT) as usize & 3]
 }
 
 /// Ideal sequential machine time: one instruction at a time, each taking
@@ -93,12 +160,15 @@ fn meta_latency(m: u32, table: &[u32; 4], mem_override: Option<&[u32]>, i: usize
 /// attached memory-latency vector forces a per-record pass.
 fn sequential_cycles(prepared: &PreparedTrace, latency: &LatencyModel) -> u64 {
     if let Some(mem) = prepared.mem_latency.as_deref() {
-        let table = latency_table(latency);
+        let latency = MemLatency {
+            class: latency_table(latency),
+            mem,
+        };
         return prepared
             .meta
             .iter()
             .enumerate()
-            .map(|(i, &m)| u64::from(meta_latency(m, &table, Some(mem), i)))
+            .map(|(i, &m)| u64::from(latency.of(m, i)))
             .sum();
     }
     [
@@ -110,6 +180,25 @@ fn sequential_cycles(prepared: &PreparedTrace, latency: &LatencyModel) -> u64 {
     .into_iter()
     .map(|class| prepared.class_counts[class as usize] * u64::from(latency_of(latency, class)))
     .sum()
+}
+
+/// How a record's issue cycle follows from its earliest feasible cycle. A
+/// type parameter of the constrained pass, like [`Latency`].
+trait Issue {
+    /// The issue cycle of record `i`, feasible from `earliest`, on a path
+    /// that entered the window at cycle `entry`.
+    fn issue(&mut self, earliest: u32, i: usize, entry: u32) -> u32;
+}
+
+/// The paper's implicit PE limit: bounded only by the branch paths in the
+/// window, so every record issues as soon as it is feasible.
+struct Unlimited;
+
+impl Issue for Unlimited {
+    #[inline(always)]
+    fn issue(&mut self, earliest: u32, _i: usize, _entry: u32) -> u32 {
+        earliest
+    }
 }
 
 /// Greedy in-order issue under an explicit PE limit: the earliest cycle at
@@ -150,6 +239,16 @@ impl PeSchedule {
     }
 }
 
+impl Issue for PeSchedule {
+    fn issue(&mut self, earliest: u32, i: usize, entry: u32) -> u32 {
+        let t = self.issue_at(earliest);
+        if i.is_multiple_of(4096) {
+            self.prune_below(entry);
+        }
+        t
+    }
+}
+
 /// The Riseman–Foster experiment (cited in §1.2 as "the classic study"):
 /// unlimited resources, minimal data dependences, but only `bypassed`
 /// conditional branches may be outstanding — an instruction cannot issue
@@ -165,8 +264,14 @@ pub fn riseman_foster(prepared: &PreparedTrace, bypassed: u32) -> SimOutcome {
     let mut mem_time = vec![0u32; prepared.mem_words];
     let mut reads = prepared.read_addrs.iter();
     let mut writes = prepared.write_addrs.iter();
-    // Resolve times of all conditional branches seen so far.
-    let mut branch_resolves: Vec<u32> = Vec::new();
+    // Resolve times of the last `bypassed + 1` conditional branches (all of
+    // them when there are fewer). Once more than `bypassed` branches are
+    // seen, the slot about to be overwritten holds the newest branch that
+    // must have resolved.
+    let slots = (bypassed as usize).min(prepared.num_branches() as usize) + 1;
+    let mut resolves = vec![0u32; slots];
+    let mut head = 0usize;
+    let mut seen = 0u64;
     let mut total = 0u32;
     for &m in &prepared.meta {
         let mut ready = reg_time[(m & META_REG_MASK) as usize]
@@ -176,9 +281,8 @@ pub fn riseman_foster(prepared: &PreparedTrace, bypassed: u32) -> SimOutcome {
             ready = ready.max(mem_time[addr]);
         }
         // All but the last `bypassed` earlier branches must have resolved.
-        let k = branch_resolves.len();
-        if k > bypassed as usize {
-            ready = ready.max(branch_resolves[k - 1 - bypassed as usize]);
+        if seen > u64::from(bypassed) {
+            ready = ready.max(resolves[head]);
         }
         let exec = ready + 1;
         reg_time[((m >> META_DST_SHIFT) & META_REG_MASK) as usize] = exec;
@@ -187,7 +291,9 @@ pub fn riseman_foster(prepared: &PreparedTrace, bypassed: u32) -> SimOutcome {
             mem_time[addr] = exec;
         }
         if m & META_IS_COND != 0 {
-            branch_resolves.push(exec);
+            resolves[head] = exec;
+            head = if head + 1 == slots { 0 } else { head + 1 };
+            seen += 1;
         }
         total = total.max(exec);
     }
@@ -205,19 +311,20 @@ pub fn riseman_foster(prepared: &PreparedTrace, bypassed: u32) -> SimOutcome {
 
 /// Data-flow limit: unit latency, register renaming, memory flow deps,
 /// branches impose nothing (EE with unlimited resources).
-fn simulate_oracle(prepared: &PreparedTrace, config: &SimConfig) -> SimOutcome {
+fn simulate_oracle<L: Latency>(
+    prepared: &PreparedTrace,
+    config: &SimConfig,
+    latency: &L,
+) -> SimOutcome {
     let n = prepared.len;
     // Availability times: the last cycle the producer occupies; consumers
     // issue the cycle after.
     let mut reg_time = [0u32; META_REG_SLOTS];
     let mut mem_time = vec![0u32; prepared.mem_words];
-    let table = latency_table(&config.latency);
-    let mem_override = prepared.mem_latency.as_deref();
     let mut reads = prepared.read_addrs.iter();
     let mut writes = prepared.write_addrs.iter();
     let mut total = 0u32;
     for (i, &m) in prepared.meta.iter().enumerate() {
-        let lat = meta_latency(m, &table, mem_override, i);
         let mut ready = reg_time[(m & META_REG_MASK) as usize]
             .max(reg_time[((m >> META_SRC2_SHIFT) & META_REG_MASK) as usize]);
         if m & META_HAS_READ != 0 {
@@ -225,7 +332,7 @@ fn simulate_oracle(prepared: &PreparedTrace, config: &SimConfig) -> SimOutcome {
             ready = ready.max(mem_time[addr]);
         }
         let exec = ready + 1;
-        let done = exec + lat - 1;
+        let done = exec + latency.of(m, i) - 1;
         reg_time[((m >> META_DST_SHIFT) & META_REG_MASK) as usize] = done;
         if m & META_HAS_WRITE != 0 {
             let addr = *writes.next().expect("write stream matches meta") as usize;
@@ -247,39 +354,37 @@ fn simulate_oracle(prepared: &PreparedTrace, config: &SimConfig) -> SimOutcome {
 
 /// One in-order pass for a constrained model. `MF` is the model's
 /// [`is_mf`](Model::is_mf) and `PENALTIES` whether mispredicts cost
-/// anything (all but EE), as constants, so each instantiation carries only
-/// its own bookkeeping.
-fn simulate_constrained<const MF: bool, const PENALTIES: bool>(
+/// anything (all but EE), as constants, and the latency source and issue
+/// discipline are type parameters, so each instantiation carries only its
+/// own bookkeeping.
+///
+/// Per record the pass does only the data-dependence step. Everything else
+/// that bounds a record's issue cycle (window entry, folded restrictive
+/// barriers, finite `-CD` barriers) is fixed for the whole path, so it is
+/// folded into one `path_floor` at the branch that starts the path; only a
+/// finite barrier lapsing mid-path refreshes it.
+fn simulate_constrained<const MF: bool, const PENALTIES: bool, L: Latency, I: Issue>(
     prepared: &PreparedTrace,
     config: &SimConfig,
+    latency: &L,
+    mut issue: I,
 ) -> SimOutcome {
     let n = prepared.len;
     let model = config.model;
 
     // Window depth in real branch paths, and the DEE coverage shape
     // (l, h): from the §3.1 heuristic, or an explicit ablation override.
-    let dee_shape: Option<(u32, u32)> = model.is_dee().then(|| match config.dee_shape {
-        Some(shape) => shape,
-        None => {
-            let tree = StaticTree::build(TreeParams {
-                p: config.p.clamp(0.5, 0.9999),
-                et: config.et,
-            });
-            (tree.mainline_len(), tree.h_dee())
-        }
-    });
+    let dee_shape: Option<(u32, u32)> = model.is_dee().then(|| config.tree_shape());
     let window = match model {
         Model::Ee => ee_depth(config.et).max(1),
         Model::Dee | Model::DeeCd | Model::DeeCdMf => dee_shape.expect("built above").0,
         _ => config.et,
     } as usize;
+    debug_assert!(window >= 1, "the window holds at least one path");
     let h_dee = dee_shape.map_or(0, |(_, h)| h);
-    let mut pe = config.max_pe.map(PeSchedule::new);
 
     let mut reg_time = [0u32; META_REG_SLOTS];
     let mut mem_time = vec![0u32; prepared.mem_words];
-    let table = latency_table(&config.latency);
-    let mem_override = prepared.mem_latency.as_deref();
     let mut reads = prepared.read_addrs.iter();
     let mut writes = prepared.write_addrs.iter();
     // Branch-path index of the current record: advances past each
@@ -288,32 +393,46 @@ fn simulate_constrained<const MF: bool, const PENALTIES: bool>(
     let mut path = 0usize;
     // Path `p` retires once it and every older path have executed, so its
     // retire time is the running maximum completion at its branch; path
-    // `p + window` enters the cycle after. `retire[p + window]` holds it,
-    // and the `window` leading zeros let the first paths enter at cycle 1.
-    let mut retire = vec![0u32; window + prepared.num_paths as usize];
+    // `p + window` enters the cycle after. Only the last `window` retire
+    // times are live: a ring keyed by the entering path, whose unwritten
+    // zeros let the first `window` paths enter at cycle 1.
+    let retire_mask = window.next_power_of_two() - 1;
+    let mut retire = vec![0u32; retire_mask + 1];
     // Serialized branches resolve in increasing order, hence always at the
     // root: only the -MF models keep the last `window` resolve times.
     // Zeros stand for branches not yet seen: no resolve is ever below 1.
     let mut resolves = vec![0u32; if MF && PENALTIES { window } else { 0 }];
     let mut resolve_slot = 0usize;
     // A restrictive barrier (one with no CD-region end) only ever raises
-    // the floor on the first record of the path past its DEE coverage, at
-    // most `h_DEE + 1` paths ahead: pending raises wait in a ring keyed by
-    // that path. Stale slots are harmless, since the floor never falls.
-    let fold_slots = (h_dee as usize + 2).next_power_of_two();
-    let mut folds = vec![0u32; fold_slots];
-    // Barriers with a finite CD-region end, checked on every record.
-    let mut barriers: Vec<Barrier> = Vec::new();
-    let mut cd_ends = prepared.cd_end.iter();
+    // the floor from the path past its DEE coverage on, at most `h_DEE + 1`
+    // paths ahead: pending raises wait in a ring keyed by that path. Stale
+    // slots are harmless, since the floor never falls.
+    let fold_mask = (h_dee as usize + 2).next_power_of_two() - 1;
+    let mut folds = vec![0u32; fold_mask + 1];
     let mut global_floor = 0u32;
+    // Barriers with a finite CD-region end, their floor on the current
+    // path, and the first position at which one of them lapses.
+    let mut barriers: Vec<Barrier> = Vec::new();
+    let mut bar_floor = 0u32;
+    let mut bar_expiry = u32::MAX;
+    let mut cd_ends = prepared.cd_end.iter();
+    // Window entry of the current path (the tree covers `window`
+    // consecutive real paths), that raised by the folded floor, and that
+    // raised by the finite barriers.
+    let mut entry = 1u32;
+    let mut base_floor = 1u32;
+    let mut path_floor = 1u32;
     let mut prev_branch_exec = 0u32;
     let mut total = 0u32;
     let mut histogram = vec![0u64; LEVEL_HISTOGRAM_CAP];
 
     for (i, &m) in prepared.meta.iter().enumerate() {
-        global_floor = global_floor.max(folds[path & (fold_slots - 1)]);
-        // Window entry: the tree covers `window` consecutive real paths.
-        let entry = retire[path] + 1;
+        // A finite barrier lapses at its CD-region end, before this
+        // record's floor is taken.
+        if PENALTIES && i as u32 >= bar_expiry {
+            (bar_floor, bar_expiry) = refresh_barriers(&mut barriers, i as u32, path);
+            path_floor = base_floor.max(bar_floor);
+        }
 
         // Minimal data dependences.
         let mut ready = reg_time[(m & META_REG_MASK) as usize]
@@ -322,53 +441,34 @@ fn simulate_constrained<const MF: bool, const PENALTIES: bool>(
             let addr = *reads.next().expect("read stream matches meta") as usize;
             ready = ready.max(mem_time[addr]);
         }
-        let lat = meta_latency(m, &table, mem_override, i);
-        let mut exec = (ready + 1).max(entry).max(global_floor);
-
-        // Active CD-region misprediction barriers.
-        if !barriers.is_empty() {
-            barriers.retain(|b| {
-                if i as u32 >= b.end_pos {
-                    return false;
-                }
-                if path > b.path + b.cov_paths as usize {
-                    exec = exec.max(b.time);
-                }
-                true
-            });
-        }
-
         let is_branch = m & META_IS_COND != 0;
         let serial_floor = if is_branch && !MF {
             prev_branch_exec + 1
         } else {
             0
         };
-        exec = exec.max(serial_floor);
-
-        // Explicit PE limit: greedy in-order issue into the first free
-        // slot at or after the earliest feasible cycle.
-        if let Some(pe) = pe.as_mut() {
-            exec = pe.issue_at(exec);
-            if i % 4096 == 0 {
-                pe.prune_below(entry);
-            }
-        }
+        let exec = issue.issue((ready + 1).max(path_floor).max(serial_floor), i, entry);
 
         // The instruction occupies its unit through `done`; consumers and
         // retirement see the completion time.
-        let done = exec + lat - 1;
+        let done = exec + latency.of(m, i) - 1;
         reg_time[((m >> META_DST_SHIFT) & META_REG_MASK) as usize] = done;
         if m & META_HAS_WRITE != 0 {
             let addr = *writes.next().expect("write stream matches meta") as usize;
             mem_time[addr] = done;
         }
         total = total.max(done);
-        retire[path + window] = total;
+        if !is_branch {
+            continue;
+        }
+
+        // The branch ends `path`: it retires now, and `path + window`
+        // enters the cycle after.
+        prev_branch_exec = done;
+        retire[(path + window) & retire_mask] = total;
         if MF && PENALTIES {
-            // The current path's slot: its branch's resolve, once written.
             resolves[resolve_slot] = done;
-            resolve_slot += usize::from(is_branch);
+            resolve_slot += 1;
             if resolve_slot == window {
                 resolve_slot = 0;
             }
@@ -380,7 +480,7 @@ fn simulate_constrained<const MF: bool, const PENALTIES: bool>(
             // branches resolve at the top of the tree, the tree moves
             // down" (§3.1); the DEE paths hang off the first h pending
             // branches.
-            let older_unresolved = resolves.iter().filter(|&&e| e > done).count() as u32;
+            let older_unresolved: u32 = resolves.iter().map(|&e| u32::from(e > done)).sum();
             let level = older_unresolved + 1;
             let idx = (level as usize - 1).min(LEVEL_HISTOGRAM_CAP - 1);
             histogram[idx] += 1;
@@ -392,7 +492,7 @@ fn simulate_constrained<const MF: bool, const PENALTIES: bool>(
                 u32::MAX
             };
             if end_pos == u32::MAX {
-                let slot = &mut folds[(path + cov as usize + 1) & (fold_slots - 1)];
+                let slot = &mut folds[(path + cov as usize + 1) & fold_mask];
                 *slot = (*slot).max(done + 1);
             } else {
                 barriers.push(Barrier {
@@ -403,8 +503,18 @@ fn simulate_constrained<const MF: bool, const PENALTIES: bool>(
                 });
             }
         }
-        prev_branch_exec = if is_branch { done } else { prev_branch_exec };
-        path += usize::from(is_branch);
+
+        // The next path's floor, fixed until it ends or a barrier lapses.
+        path += 1;
+        entry = retire[path & retire_mask] + 1;
+        if PENALTIES {
+            global_floor = global_floor.max(folds[path & fold_mask]);
+            if !barriers.is_empty() {
+                (bar_floor, bar_expiry) = refresh_barriers(&mut barriers, i as u32 + 1, path);
+            }
+        }
+        base_floor = entry.max(global_floor);
+        path_floor = base_floor.max(bar_floor);
     }
 
     SimOutcome::new(

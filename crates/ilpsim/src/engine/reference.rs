@@ -12,11 +12,12 @@
 use dee_isa::Program;
 use dee_vm::Trace;
 
-use super::{latency_table, meta_latency, sequential_cycles, PeSchedule, LEVEL_HISTOGRAM_CAP};
+use super::{latency_table, sequential_cycles, PeSchedule, LEVEL_HISTOGRAM_CAP};
 use crate::model::{Model, SimConfig};
 use crate::prepare::{
-    BranchCfg, PreparedTrace, CD_SCAN_CAP, META_DST_SHIFT, META_HAS_READ, META_HAS_WRITE,
-    META_IS_COND, META_MISPREDICT, META_REG_MASK, META_REG_SLOTS, META_SRC2_SHIFT, META_TAKEN,
+    BranchCfg, PreparedTrace, CD_SCAN_CAP, META_CLASS_SHIFT, META_DST_SHIFT, META_HAS_READ,
+    META_HAS_WRITE, META_IS_COND, META_MISPREDICT, META_REG_MASK, META_REG_SLOTS, META_SRC2_SHIFT,
+    META_TAKEN,
 };
 use crate::stats::SimOutcome;
 use dee_core::{ee_depth, StaticTree, TreeParams};
@@ -47,6 +48,17 @@ pub(crate) fn cd_region_ends(prepared: &PreparedTrace, cols: &RefColumns) -> Vec
         .filter(|&i| prepared.meta[i] & META_MISPREDICT != 0)
         .map(|i| cd_region_end(prepared, cols, i))
         .collect()
+}
+
+/// Latency of record `i` with packed meta `m`: the attached memory-system
+/// latency when present (for memory records), else the class latency.
+fn meta_latency(m: u32, table: &[u32; 4], mem_override: Option<&[u32]>, i: usize) -> u32 {
+    if let Some(mem) = mem_override {
+        if m & (META_HAS_READ | META_HAS_WRITE) != 0 {
+            return mem[i].max(1);
+        }
+    }
+    table[(m >> META_CLASS_SHIFT) as usize & 3]
 }
 
 /// One pending misprediction penalty.
@@ -316,9 +328,14 @@ mod tests {
         }
     }
 
+    /// A characteristic accuracy whose §3.1 tree is a pure main line
+    /// (`h_DEE = 0`) at E_T 8, 16 and 32, and has a DEE region above.
+    const SP_SHAPED_P: f64 = 0.95;
+
     /// The full configuration grid: every constrained model × E_T × PE
-    /// cap × latency model, plus a wide `(l, h)` override for each DEE
-    /// model and E_T. The bool asks for attached memory latencies.
+    /// cap × latency model, plus, for each DEE model and E_T, a wide
+    /// `(l, h)` override, an `(l, 0)` override and the tree at
+    /// [`SP_SHAPED_P`]. The bool asks for attached memory latencies.
     fn grid() -> Vec<(SimConfig, bool)> {
         let mut grid = Vec::new();
         for model in Model::all_constrained() {
@@ -331,6 +348,8 @@ mod tests {
                         .last()
                         .unwrap_or(0);
                     bases.push(SimConfig::new(model, et).with_dee_shape(et - h * (h + 1) / 2, h));
+                    bases.push(SimConfig::new(model, et).with_dee_shape(et.div_ceil(2), 0));
+                    bases.push(SimConfig::new(model, et).with_p(SP_SHAPED_P));
                 }
                 for base in bases {
                     for max_pe in [None, Some(1), Some(3)] {
@@ -384,12 +403,34 @@ mod tests {
         for k in picks {
             let (config, mem) = grid[k];
             let p = if mem { &with_mem } else { &prepared };
+            let fast = simulate(p, &config);
             assert_eq!(
-                simulate(p, &config),
+                fast,
                 simulate_constrained(p, &cols, &config),
                 "{label} (seed {seed}): {config:?}, mem latencies {mem}"
             );
+            let canonical = config.canonical();
+            let mut same = simulate(p, &canonical);
+            (same.model, same.et) = (fast.model, fast.et);
+            assert_eq!(
+                fast, same,
+                "{label} (seed {seed}): {config:?} vs its canonical form {canonical:?}, \
+                 mem latencies {mem}"
+            );
         }
+    }
+
+    #[test]
+    fn grid_reaches_degenerate_dee_trees() {
+        for et in [8, 16] {
+            for model in [Model::Dee, Model::DeeCd, Model::DeeCdMf] {
+                let config = SimConfig::new(model, et).with_p(SP_SHAPED_P);
+                assert_eq!(config.tree_shape(), (et, 0), "{config:?}");
+                assert!(!config.canonical().model.is_dee(), "{config:?}");
+            }
+        }
+        let wide = SimConfig::new(Model::Dee, 128).with_p(SP_SHAPED_P);
+        assert!(wide.canonical().model.is_dee(), "{wide:?}");
     }
 
     /// Distinct per-case seeds from one base seed.

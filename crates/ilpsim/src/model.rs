@@ -1,5 +1,11 @@
 use std::fmt;
 
+use dee_core::{StaticTree, TreeParams};
+
+/// The paper's measured characteristic prediction accuracy (§3.1), the
+/// default `p` of every [`SimConfig`].
+const PAPER_P: f64 = 0.9053;
+
 /// An execution model from §5.2 of the paper.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Model {
@@ -186,7 +192,7 @@ impl SimConfig {
         SimConfig {
             model,
             et,
-            p: 0.9053,
+            p: PAPER_P,
             latency: LatencyModel::UNIT,
             max_pe: None,
             dee_shape: None,
@@ -239,6 +245,68 @@ impl SimConfig {
         );
         self.dee_shape = Some((l, h));
         self
+    }
+
+    /// The DEE tree's `(main-line length l, h_DEE)`: the override when
+    /// set, else the §3.1 heuristic's shape for `p` and `et`.
+    pub(crate) fn tree_shape(&self) -> (u32, u32) {
+        self.dee_shape.unwrap_or_else(|| {
+            let tree = StaticTree::build(TreeParams {
+                p: self.p.clamp(0.5, 0.9999),
+                et: self.et,
+            });
+            (tree.mainline_len(), tree.h_dee())
+        })
+    }
+
+    /// The one configuration that stands for every equivalent one: equal
+    /// canonical forms give equal [`SimOutcome`](crate::SimOutcome)s up to
+    /// their `model` and `et` fields, so a sweep can run each distinct
+    /// canonical form once.
+    ///
+    /// - A DEE-family model carries its tree as an explicit `(l, h)`
+    ///   shape. When `h_DEE = 0` the tree is a pure main line of `l`
+    ///   paths, so the configuration becomes the SP-family model with the
+    ///   same control dependences and `et = l` (the paper's DEE curves
+    ///   coincide with SP at and below 16 paths for p ≈ 0.905).
+    /// - Fields the model never reads are reset to their defaults: `p`
+    ///   (the tree shape is explicit by then), the shape outside the DEE
+    ///   family, and `et` and `max_pe` for the oracle.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use dee_ilpsim::{Model, SimConfig};
+    ///
+    /// let dee = SimConfig::new(Model::DeeCd, 8).with_p(0.9);
+    /// assert_eq!(dee.canonical(), SimConfig::new(Model::SpCd, 8));
+    /// ```
+    #[must_use]
+    pub fn canonical(&self) -> SimConfig {
+        let mut canonical = SimConfig {
+            p: PAPER_P,
+            dee_shape: None,
+            ..*self
+        };
+        match self.model {
+            Model::Oracle => {
+                canonical.et = 0;
+                canonical.max_pe = None;
+            }
+            Model::Dee | Model::DeeCd | Model::DeeCdMf => match self.tree_shape() {
+                (l, 0) => {
+                    canonical.model = match self.model {
+                        Model::Dee => Model::Sp,
+                        Model::DeeCd => Model::SpCd,
+                        _ => Model::SpCdMf,
+                    };
+                    canonical.et = l;
+                }
+                shape => canonical.dee_shape = Some(shape),
+            },
+            _ => {}
+        }
+        canonical
     }
 }
 
@@ -326,6 +394,42 @@ mod tests {
     #[should_panic(expected = "shape exceeds the resource budget")]
     fn oversized_dee_shape_rejected() {
         let _ = SimConfig::new(Model::DeeCdMf, 10).with_dee_shape(10, 4);
+    }
+
+    #[test]
+    fn canonical_forms() {
+        // A pure main line: the SP-family model at `et = l`.
+        let sp_shaped = SimConfig::new(Model::DeeCdMf, 16).with_dee_shape(5, 0);
+        assert_eq!(sp_shaped.canonical(), SimConfig::new(Model::SpCdMf, 5));
+        assert_eq!(
+            SimConfig::new(Model::Dee, 8).with_p(0.95).canonical(),
+            SimConfig::new(Model::Sp, 8)
+        );
+        // A DEE region: the shape becomes explicit and `p` is reset.
+        let dee = SimConfig::new(Model::DeeCd, 100).with_p(0.9);
+        let (l, h) = dee.tree_shape();
+        assert!(h > 0);
+        assert_eq!(
+            dee.canonical(),
+            SimConfig::new(Model::DeeCd, 100).with_dee_shape(l, h)
+        );
+        // Unread fields are reset; read ones are kept.
+        let sp = SimConfig::new(Model::SpCd, 32)
+            .with_p(0.7)
+            .with_max_pe(4)
+            .with_latency(LatencyModel::CLASSIC);
+        assert_eq!(
+            sp.canonical(),
+            SimConfig::new(Model::SpCd, 32)
+                .with_max_pe(4)
+                .with_latency(LatencyModel::CLASSIC)
+        );
+        let oracle = SimConfig::new(Model::Oracle, 64).with_max_pe(2).with_p(0.8);
+        assert_eq!(oracle.canonical(), SimConfig::new(Model::Oracle, 0));
+        // Canonical forms are fixed points.
+        for config in [sp_shaped, dee, sp, oracle] {
+            assert_eq!(config.canonical().canonical(), config.canonical());
+        }
     }
 
     #[test]
