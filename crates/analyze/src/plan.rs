@@ -8,10 +8,11 @@
 //! shapes a [`dee-ilpsim`] cumulative-probability tree with no trace at
 //! all.
 //!
-//! On disk the plan uses `DEEPLAN1` framing with the same checksum
-//! discipline as the store's `DEESTOR1` containers and the snapshot tier's
-//! `DEESNAP1` files: an 8-byte magic, a little-endian body, and a trailing
-//! [`dee_store::checksum64`] over the body. A flipped byte anywhere is a
+//! On disk the plan is framed exactly like a `DEESNAP1` snapshot, by
+//! [`dee_vm::frame::seal`]: the 8-byte `DEEPLAN1` magic, a little-endian
+//! body, and a trailing [`checksum64`] over magic and body. (Builds
+//! before this framing checksummed the body alone; their plan files now
+//! fail closed as a checksum mismatch.) A flipped byte anywhere is a
 //! typed [`PlanError`], never a panic and never a silently wrong tree.
 //!
 //! [`verify_plan`] is the dynamic cross-check, mirroring
@@ -25,7 +26,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use dee_isa::Program;
-use dee_store::checksum64;
+use dee_vm::frame::{checksum64, open, put_u32, put_u64, seal, Cursor, FrameError};
 
 use crate::alias::{SideEffects, SpecClass};
 use crate::census::DirectionCounts;
@@ -113,13 +114,6 @@ impl SpeculationPlan {
             .map(|i| self.branches[i].taken_prob)
     }
 
-    /// The planned majority direction of the branch at `pc` (`true` =
-    /// taken), if present.
-    #[must_use]
-    pub fn majority_direction(&self, pc: u32) -> Option<bool> {
-        self.taken_prob(pc).map(|p| p >= 0.5)
-    }
-
     /// `(safely_eager, memory_speculative, unsafe)` instruction counts.
     #[must_use]
     pub fn class_counts(&self) -> (usize, usize, usize) {
@@ -135,46 +129,32 @@ impl SpeculationPlan {
     }
 
     /// Serializes the plan with `DEEPLAN1` framing: magic, little-endian
-    /// body, trailing [`checksum64`] of the body.
+    /// body, trailing [`checksum64`] of magic and body.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut body = Vec::new();
-        body.extend_from_slice(&self.program_len.to_le_bytes());
-        body.extend_from_slice(&self.program_digest.to_le_bytes());
-        body.extend_from_slice(&self.expected_accuracy.to_bits().to_le_bytes());
-        body.extend_from_slice(&(self.branches.len() as u32).to_le_bytes());
+        put_u32(&mut body, self.program_len);
+        put_u64(&mut body, self.program_digest);
+        put_u64(&mut body, self.expected_accuracy.to_bits());
+        put_u32(&mut body, self.branches.len() as u32);
         for b in &self.branches {
-            body.extend_from_slice(&b.pc.to_le_bytes());
-            body.extend_from_slice(&b.taken_prob.to_bits().to_le_bytes());
-            body.extend_from_slice(&b.freq.to_bits().to_le_bytes());
+            put_u32(&mut body, b.pc);
+            put_u64(&mut body, b.taken_prob.to_bits());
+            put_u64(&mut body, b.freq.to_bits());
         }
-        body.extend_from_slice(&(self.classes.len() as u32).to_le_bytes());
-        for class in &self.classes {
-            body.push(class.tag());
-        }
-        let mut out = Vec::with_capacity(PLAN_MAGIC.len() + body.len() + 8);
-        out.extend_from_slice(PLAN_MAGIC);
-        let sum = checksum64(&body);
-        out.extend_from_slice(&body);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
+        put_u32(&mut body, self.classes.len() as u32);
+        body.extend(self.classes.iter().map(|class| class.tag()));
+        seal(PLAN_MAGIC, &body)
     }
 
     /// Parses a `DEEPLAN1` artifact, verifying magic and checksum.
+    ///
+    /// # Errors
+    ///
+    /// A [`PlanError`] naming the first framing or layout problem.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, PlanError> {
-        if bytes.len() < PLAN_MAGIC.len() + 8 {
-            return Err(PlanError::TooShort { len: bytes.len() });
-        }
-        if &bytes[..PLAN_MAGIC.len()] != PLAN_MAGIC {
-            return Err(PlanError::BadMagic);
-        }
-        let body = &bytes[PLAN_MAGIC.len()..bytes.len() - 8];
-        let stored = u64::from_le_bytes(bytes[bytes.len() - 8..].try_into().expect("8 bytes"));
-        let actual = checksum64(body);
-        if stored != actual {
-            return Err(PlanError::ChecksumMismatch { stored, actual });
-        }
-        let mut r = Reader { body, at: 0 };
+        let body = open(PLAN_MAGIC, bytes)?;
+        let mut r = Cursor::new(body);
         let program_len = r.u32()?;
         let program_digest = r.u64()?;
         let expected_accuracy = f64::from_bits(r.u64()?);
@@ -193,11 +173,7 @@ impl SpeculationPlan {
             let tag = r.u8()?;
             classes.push(SpecClass::from_tag(tag).ok_or(PlanError::BadClass { tag })?);
         }
-        if r.at != body.len() {
-            return Err(PlanError::TrailingBytes {
-                extra: body.len() - r.at,
-            });
-        }
+        r.finish()?;
         Ok(SpeculationPlan {
             program_len,
             program_digest,
@@ -208,84 +184,30 @@ impl SpeculationPlan {
     }
 }
 
-struct Reader<'a> {
-    body: &'a [u8],
-    at: usize,
-}
-
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], PlanError> {
-        if self.at + n > self.body.len() {
-            return Err(PlanError::Truncated { at: self.at });
-        }
-        let s = &self.body[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, PlanError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, PlanError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, PlanError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-}
-
 /// A typed `DEEPLAN1` parse/verification failure.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum PlanError {
-    /// Fewer bytes than magic + checksum.
-    TooShort {
-        /// Observed byte count.
-        len: usize,
-    },
-    /// The first 8 bytes are not `DEEPLAN1`.
-    BadMagic,
-    /// The trailing checksum does not match the body.
-    ChecksumMismatch {
-        /// Checksum stored in the file.
-        stored: u64,
-        /// Checksum of the body as read.
-        actual: u64,
-    },
-    /// The body ends mid-field.
-    Truncated {
-        /// Byte offset where the read ran out.
-        at: usize,
-    },
+    /// The framing or a field is bad: too short, wrong magic, checksum
+    /// mismatch, truncated body or trailing bytes.
+    Frame(FrameError),
     /// An unknown speculation-class tag.
     BadClass {
         /// The offending tag byte.
         tag: u8,
     },
-    /// Bytes remain after the last field.
-    TrailingBytes {
-        /// How many bytes were left over.
-        extra: usize,
-    },
+}
+
+impl From<FrameError> for PlanError {
+    fn from(e: FrameError) -> Self {
+        PlanError::Frame(e)
+    }
 }
 
 impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            PlanError::TooShort { len } => {
-                write!(f, "plan too short: {len} bytes")
-            }
-            PlanError::BadMagic => write!(f, "missing DEEPLAN1 magic"),
-            PlanError::ChecksumMismatch { stored, actual } => write!(
-                f,
-                "plan checksum mismatch: stored {stored:#018x}, actual {actual:#018x}"
-            ),
-            PlanError::Truncated { at } => write!(f, "plan body truncated at offset {at}"),
+            PlanError::Frame(e) => write!(f, "plan: {e}"),
             PlanError::BadClass { tag } => write!(f, "unknown speculation class tag {tag}"),
-            PlanError::TrailingBytes { extra } => {
-                write!(f, "{extra} unexpected trailing bytes in plan body")
-            }
         }
     }
 }
@@ -421,7 +343,7 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         match SpeculationPlan::from_bytes(&bytes) {
-            Err(PlanError::ChecksumMismatch { .. }) => {}
+            Err(PlanError::Frame(FrameError::ChecksumMismatch { .. })) => {}
             other => panic!("expected checksum mismatch, got {other:?}"),
         }
     }
@@ -432,11 +354,35 @@ mod tests {
         let bytes = plan.to_bytes();
         assert_eq!(
             SpeculationPlan::from_bytes(&bytes[..4]),
-            Err(PlanError::TooShort { len: 4 })
+            Err(PlanError::Frame(FrameError::TooShort { len: 4 }))
         );
         let mut bad = bytes.clone();
         bad[0] = b'X';
-        assert_eq!(SpeculationPlan::from_bytes(&bad), Err(PlanError::BadMagic));
+        assert_eq!(
+            SpeculationPlan::from_bytes(&bad),
+            Err(PlanError::Frame(FrameError::BadMagic))
+        );
+    }
+
+    #[test]
+    fn the_checksum_covers_magic_and_body_and_layout_errors_are_typed() {
+        let bytes = SpeculationPlan::build(&looped_program()).to_bytes();
+        let (framed, sum) = bytes.split_at(bytes.len() - 8);
+        assert_eq!(sum, checksum64(framed).to_le_bytes());
+        let body = &framed[PLAN_MAGIC.len()..];
+        let parse = |body: &[u8]| SpeculationPlan::from_bytes(&seal(PLAN_MAGIC, body));
+        let trailing = FrameError::TrailingBytes { extra: 1 };
+        assert_eq!(
+            parse(&[body, &[0]].concat()),
+            Err(PlanError::Frame(trailing))
+        );
+        let cut = parse(&body[..body.len() - 1]);
+        assert!(matches!(
+            cut,
+            Err(PlanError::Frame(FrameError::Truncated { .. }))
+        ));
+        let bad_class = [&body[..body.len() - 1], &[0xEE]].concat();
+        assert_eq!(parse(&bad_class), Err(PlanError::BadClass { tag: 0xEE }));
     }
 
     #[test]

@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 use dee_serve::http::{read_request, write_response, HttpError, Request};
 use dee_serve::queue::{Bounded, TryPushError};
 use dee_serve::{FaultPlan, FaultSite, Json};
-use dee_store::fnv1a;
+use dee_vm::frame::fnv1a;
 
 use crate::client::{peer_request, request as probe_request, PeerResponse, PeerTimeouts};
 use crate::ring::HashRing;

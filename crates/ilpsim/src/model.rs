@@ -57,6 +57,23 @@ impl Model {
         }
     }
 
+    /// Every model: the seven constrained ones, then the Oracle.
+    #[must_use]
+    pub fn all() -> [Model; 8] {
+        let mut all = [Model::Oracle; 8];
+        all[..7].copy_from_slice(&Model::all_constrained());
+        all
+    }
+
+    /// Parses a model by its paper name ([`Model::name`]), ignoring ASCII
+    /// case, so `dee-cd-mf`, `SP` and `oracle` all resolve.
+    #[must_use]
+    pub fn parse(name: &str) -> Option<Model> {
+        Model::all()
+            .into_iter()
+            .find(|m| m.name().eq_ignore_ascii_case(name))
+    }
+
     /// Whether the model uses the DEE static tree (coverage waivers).
     #[must_use]
     pub fn is_dee(self) -> bool {
@@ -313,6 +330,17 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn parse_is_case_insensitive_and_inverts_name() {
+        assert_eq!(Model::parse("dee-cd-mf"), Some(Model::DeeCdMf));
+        assert_eq!(Model::parse("SP"), Some(Model::Sp));
+        assert_eq!(Model::parse("oracle"), Some(Model::Oracle));
+        assert_eq!(Model::parse("warp"), None);
+        for m in Model::all() {
+            assert_eq!(Model::parse(m.name()), Some(m));
+        }
+    }
 
     #[test]
     fn names_match_paper() {

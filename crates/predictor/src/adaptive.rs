@@ -1,6 +1,7 @@
 use std::collections::VecDeque;
 
-use crate::wire::{put_u32, Cursor};
+use dee_vm::frame::{put_u32, Cursor};
+
 use crate::BranchPredictor;
 
 /// PAp two-level adaptive predictor (Yeh & Patt): a per-branch history
@@ -209,7 +210,7 @@ impl BranchPredictor for PapAdaptive {
                     if spec_hist & !mask != 0 || actual_hist & !mask != 0 {
                         return Err(format!("pap: branch {slot} history exceeds mask"));
                     }
-                    let pht = cur.bytes(pht_len)?.to_vec();
+                    let pht = cur.take(pht_len)?.to_vec();
                     if let Some(&bad) = pht.iter().find(|&&c| c > 3) {
                         return Err(format!("pap: counter state {bad} out of range"));
                     }
@@ -402,14 +403,14 @@ mod tests {
         let mut p = PapAdaptive::new();
         assert!(p.load_state(&[]).is_err(), "empty blob");
         let mut blob = Vec::new();
-        crate::wire::put_u32(&mut blob, 9); // history_bits out of range
+        dee_vm::frame::put_u32(&mut blob, 9); // history_bits out of range
         blob.push(1);
-        crate::wire::put_u32(&mut blob, 0);
+        dee_vm::frame::put_u32(&mut blob, 0);
         assert!(p.load_state(&blob).is_err(), "bad history_bits");
         let mut blob = Vec::new();
-        crate::wire::put_u32(&mut blob, 2);
+        dee_vm::frame::put_u32(&mut blob, 2);
         blob.push(7); // bad speculative flag
-        crate::wire::put_u32(&mut blob, 0);
+        dee_vm::frame::put_u32(&mut blob, 0);
         assert!(p.load_state(&blob).is_err(), "bad flag");
         let good = PapAdaptive::new().save_state();
         let mut trailing = good.clone();

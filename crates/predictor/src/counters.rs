@@ -1,4 +1,5 @@
-use crate::wire::{put_u32, Cursor};
+use dee_vm::frame::{put_u32, Cursor};
+
 use crate::BranchPredictor;
 
 /// The classic 2-bit saturating up/down counter predictor (J. E. Smith,
@@ -92,7 +93,7 @@ impl BranchPredictor for TwoBitCounter {
     fn load_state(&mut self, bytes: &[u8]) -> Result<(), String> {
         let mut cur = Cursor::new(bytes);
         let n = cur.u32()? as usize;
-        let counters = cur.bytes(n)?.to_vec();
+        let counters = cur.take(n)?.to_vec();
         cur.finish()?;
         if let Some(&bad) = counters.iter().find(|&&c| c > 3) {
             return Err(format!("2bc: counter state {bad} out of range"));

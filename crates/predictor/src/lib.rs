@@ -30,7 +30,6 @@ mod adaptive;
 mod counters;
 pub mod harness;
 mod simple;
-pub(crate) mod wire;
 
 pub use adaptive::PapAdaptive;
 pub use counters::TwoBitCounter;

@@ -1,4 +1,5 @@
-use crate::wire::{put_u32, Cursor};
+use dee_vm::frame::{put_u32, Cursor};
+
 use crate::BranchPredictor;
 
 /// Predicts every branch taken. A floor baseline: dynamic traces of loopy
@@ -146,7 +147,7 @@ impl BranchPredictor for Gshare {
         let history = cur.u32()?;
         let history_bits = cur.u32()?;
         let table_len = cur.u32()? as usize;
-        let table = cur.bytes(table_len)?.to_vec();
+        let table = cur.take(table_len)?.to_vec();
         cur.finish()?;
         if !table_len.is_power_of_two() || table_len > 1 << 24 {
             return Err(format!("gshare: bad table size {table_len}"));
@@ -255,16 +256,16 @@ mod tests {
         assert!(g.load_state(&[]).is_err(), "empty blob");
         // Non-power-of-two table.
         let mut blob = Vec::new();
-        crate::wire::put_u32(&mut blob, 0);
-        crate::wire::put_u32(&mut blob, 2);
-        crate::wire::put_u32(&mut blob, 3);
+        dee_vm::frame::put_u32(&mut blob, 0);
+        dee_vm::frame::put_u32(&mut blob, 2);
+        dee_vm::frame::put_u32(&mut blob, 3);
         blob.extend_from_slice(&[2, 2, 2]);
         assert!(g.load_state(&blob).is_err(), "table size not a power of 2");
         // History wider than its mask.
         let mut blob = Vec::new();
-        crate::wire::put_u32(&mut blob, 0xFF);
-        crate::wire::put_u32(&mut blob, 2);
-        crate::wire::put_u32(&mut blob, 4);
+        dee_vm::frame::put_u32(&mut blob, 0xFF);
+        dee_vm::frame::put_u32(&mut blob, 2);
+        dee_vm::frame::put_u32(&mut blob, 4);
         blob.extend_from_slice(&[2, 2, 2, 2]);
         assert!(g.load_state(&blob).is_err(), "history exceeds mask");
     }

@@ -22,7 +22,8 @@ use dee_isa::parse::parse_program;
 use dee_levo::{Levo, LevoConfig, LevoReport, PredictorKind};
 use dee_predict::{AlwaysTaken, BranchPredictor, Gshare, PapAdaptive, TwoBitCounter};
 use dee_snap::Snapshot;
-use dee_store::{fnv1a, fnv1a_words, ArtifactKey, Store};
+use dee_store::{ArtifactKey, Store};
+use dee_vm::frame::{fnv1a, fnv1a_words};
 use dee_vm::{
     trace_program_with, Engine, Machine, Trace, TraceChunkSource, TraceChunks, TraceRecord,
     DEFAULT_CHUNK_RECORDS,
@@ -141,13 +142,6 @@ fn workload_by_name(name: &str, scale: Scale) -> Result<Workload, ApiError> {
     dee_workloads::WorkloadRegistry::builtin()
         .build(name, scale)
         .ok_or_else(|| ApiError::bad_request(format!("unknown workload `{name}`")))
-}
-
-fn model_by_name(name: &str) -> Option<Model> {
-    Model::all_constrained()
-        .into_iter()
-        .chain([Model::Oracle])
-        .find(|m| m.name().eq_ignore_ascii_case(name))
 }
 
 fn predictor_by_name(name: &str) -> Result<Box<dyn BranchPredictor>, ApiError> {
@@ -463,11 +457,8 @@ pub fn handle_simulate(
     let (entry, hit, label) = prepared_for(cache, body, faults, store)?;
     let et = parse_et(body)?;
     let models: Vec<Model> = match str_field(body, "model") {
-        None | Some("all") => Model::all_constrained()
-            .into_iter()
-            .chain([Model::Oracle])
-            .collect(),
-        Some(name) => vec![model_by_name(name)
+        None | Some("all") => Model::all().to_vec(),
+        Some(name) => vec![Model::parse(name)
             .ok_or_else(|| ApiError::bad_request(format!("unknown model `{name}`")))?],
     };
     if et == 0 && models.iter().any(|m| *m != Model::Oracle) {
@@ -572,15 +563,12 @@ pub fn parse_batch(body: &Json) -> Result<Vec<BatchCell>, ApiError> {
     let scale_name = str_field(body, "scale").unwrap_or("tiny").to_string();
     scale_by_name(&scale_name)?;
     let models: Vec<Model> = match body.get("models") {
-        None => Model::all_constrained()
-            .into_iter()
-            .chain([Model::Oracle])
-            .collect(),
+        None => Model::all().to_vec(),
         Some(Json::Arr(items)) if !items.is_empty() => items
             .iter()
             .map(|v| {
                 v.as_str()
-                    .and_then(model_by_name)
+                    .and_then(Model::parse)
                     .ok_or_else(|| ApiError::bad_request(format!("unknown model in `models`: {v}")))
             })
             .collect::<Result<_, _>>()?,
@@ -953,6 +941,49 @@ fn prepare_range(
     Ok((builder.finish(Vec::new()), taken, warm_nanos))
 }
 
+/// The nearest published snapshot of `key` at or before record `at`,
+/// decoded against `memory`, for a warm start. Seeks count as hits or
+/// misses on `metrics`; a snapshot that fails to decode, belongs to
+/// another parent, or that `accept` rejects also counts as a decode
+/// failure, and the caller starts cold.
+fn warm_start(
+    store: Option<&Store>,
+    key: &ArtifactKey,
+    at: u64,
+    memory: &[i32],
+    faults: &FaultPlan,
+    metrics: &Metrics,
+    accept: impl FnOnce(&Snapshot) -> Result<(), String>,
+) -> Option<Snapshot> {
+    let store = store?;
+    let found = if faults.trip(FaultSite::SnapSeek).is_some() {
+        None
+    } else {
+        dee_snap::nearest_snapshot(store, key, at)
+    };
+    let Some((_, bytes)) = found else {
+        metrics.snap_seek_misses.fetch_add(1, Ordering::Relaxed);
+        return None;
+    };
+    let decoded = if faults.trip(FaultSite::SnapRead).is_some() {
+        Err("injected fault: snap_read".to_string())
+    } else {
+        Snapshot::decode(&bytes, memory).and_then(|snap| {
+            if snap.parent_digest != key.digest {
+                return Err("snapshot parent digest mismatch".to_string());
+            }
+            accept(&snap).map(|()| snap)
+        })
+    };
+    if decoded.is_ok() {
+        metrics.snap_seek_hits.fetch_add(1, Ordering::Relaxed);
+    } else {
+        metrics.snap_decode_failures.fetch_add(1, Ordering::Relaxed);
+        metrics.snap_seek_misses.fetch_add(1, Ordering::Relaxed);
+    }
+    decoded.ok()
+}
+
 /// `POST /simulate_range` — run the ILP limit models over records
 /// `[start, end)` of a source's trace.
 ///
@@ -995,11 +1026,8 @@ pub fn handle_simulate_range(
     predictor_by_name(predictor_name)?;
     let et = parse_et(body)?;
     let models: Vec<Model> = match str_field(body, "model") {
-        None | Some("all") => Model::all_constrained()
-            .into_iter()
-            .chain([Model::Oracle])
-            .collect(),
-        Some(name) => vec![model_by_name(name)
+        None | Some("all") => Model::all().to_vec(),
+        Some(name) => vec![Model::parse(name)
             .ok_or_else(|| ApiError::bad_request(format!("unknown model `{name}`")))?],
     };
     if et == 0 && models.iter().any(|m| *m != Model::Oracle) {
@@ -1019,46 +1047,21 @@ pub fn handle_simulate_range(
     // like — the DEESNAP1 convention (state at `k` = predictor has
     // consumed exactly records `[0, k)`) guarantees the mispredict
     // flags come out identical to a from-zero replay.
-    let snap: Option<Snapshot> = store.and_then(|store| {
-        let found = if faults.trip(FaultSite::SnapSeek).is_some() {
-            None
-        } else {
-            dee_snap::nearest_snapshot(store, &key, start)
-        };
-        let (_, bytes) = match found {
-            Some(hit) => hit,
-            None => {
-                metrics.snap_seek_misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        };
-        let decoded = if faults.trip(FaultSite::SnapRead).is_some() {
-            Err("injected fault: snap_read".to_string())
-        } else {
-            Snapshot::decode(&bytes, &source.memory).and_then(|snap| {
-                if snap.parent_digest != key.digest {
-                    return Err("snapshot parent digest mismatch".to_string());
-                }
-                // Prove the predictor blob restores before committing to
-                // the warm start; a missing blob restores only stateless
-                // predictors (load_state(&[]) is their no-op default).
-                let mut probe = predictor_by_name(predictor_name).map_err(|e| e.message)?;
-                probe.load_state(snap.predictor_state(probe.name()).unwrap_or(&[]))?;
-                Ok(snap)
-            })
-        };
-        match decoded {
-            Ok(snap) => {
-                metrics.snap_seek_hits.fetch_add(1, Ordering::Relaxed);
-                Some(snap)
-            }
-            Err(_) => {
-                metrics.snap_decode_failures.fetch_add(1, Ordering::Relaxed);
-                metrics.snap_seek_misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    });
+    let snap = warm_start(
+        store,
+        &key,
+        start,
+        &source.memory,
+        faults,
+        metrics,
+        |snap| {
+            // Prove the predictor blob restores before committing to the
+            // warm start; a missing blob restores only stateless predictors
+            // (load_state(&[]) is their no-op default).
+            let mut probe = predictor_by_name(predictor_name).map_err(|e| e.message)?;
+            probe.load_state(snap.predictor_state(probe.name()).unwrap_or(&[]))
+        },
+    );
     let skip = snap.as_ref().map_or(0, |s| s.record_index);
     let make_predictor = || -> Result<Box<dyn BranchPredictor>, String> {
         let mut p = predictor_by_name(predictor_name).map_err(|e| e.message)?;
@@ -1217,39 +1220,10 @@ pub fn handle_debug_at(
     machine
         .try_load_memory(&source.memory)
         .map_err(|e| ApiError::internal(e.to_string()))?;
-    if let Some(store) = store {
-        let found = if faults.trip(FaultSite::SnapSeek).is_some() {
-            None
-        } else {
-            dee_snap::nearest_snapshot(store, &key, record)
-        };
-        match found {
-            Some((_, bytes)) => {
-                let decoded = if faults.trip(FaultSite::SnapRead).is_some() {
-                    Err("injected fault: snap_read".to_string())
-                } else {
-                    Snapshot::decode(&bytes, &source.memory).and_then(|snap| {
-                        if snap.parent_digest != key.digest {
-                            return Err("snapshot parent digest mismatch".to_string());
-                        }
-                        Ok(snap)
-                    })
-                };
-                match decoded {
-                    Ok(snap) => {
-                        machine.restore_state(&snap.machine);
-                        metrics.snap_seek_hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(_) => {
-                        metrics.snap_decode_failures.fetch_add(1, Ordering::Relaxed);
-                        metrics.snap_seek_misses.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            None => {
-                metrics.snap_seek_misses.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+    if let Some(snap) = warm_start(store, &key, record, &source.memory, faults, metrics, |_| {
+        Ok(())
+    }) {
+        machine.restore_state(&snap.machine);
     }
     let replay_start = Instant::now();
     let mut since_deadline_check = 0u32;

@@ -43,21 +43,24 @@
 //! u64  checksum64 over every preceding byte
 //! ```
 //!
-//! The magic-plus-trailing-checksum framing is exactly what
-//! [`dee_store::verify_snapshot_bytes`] checks, so the store can verify,
-//! quarantine, and replicate snapshots without understanding this
-//! payload. Snapshots are deterministic — no timestamps, no absolute
-//! paths — so two nodes that cut a snapshot at the same record of the
-//! same artifact publish byte-identical files, which is what lets them
-//! flow through cluster anti-entropy like any other artifact.
+//! The framing is [`dee_vm::frame::seal`]: magic, body, and a trailing
+//! checksum over both. That is all [`dee_store::verify_snapshot_bytes`]
+//! checks, so the store can verify, quarantine, and replicate snapshots
+//! without understanding this payload. [`Snapshot::decode`] and
+//! [`Snapshot::info`] share one parser that checks every field above
+//! (flag values, counts, the delta's indexes, no trailing bytes), so a
+//! snapshot `dee snap verify` accepts is one `decode` accepts.
+//!
+//! Snapshots are deterministic — no timestamps, no absolute paths — so
+//! two nodes that cut a snapshot at the same record of the same artifact
+//! publish byte-identical files, which is what lets them flow through
+//! cluster anti-entropy like any other artifact.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use dee_store::{
-    checksum64, compress, decompress, verify_snapshot_bytes, ArtifactKey, Store, SNAPSHOT_EXT,
-    SNAPSHOT_MAGIC,
-};
+use dee_store::{compress, decompress, ArtifactKey, Store, SNAPSHOT_EXT, SNAPSHOT_MAGIC};
+use dee_vm::frame::{open, put_i32, put_u32, put_u64, seal, Cursor};
 use dee_vm::MachineState;
 
 /// Version of the `DEESNAP1` payload layout.
@@ -116,22 +119,14 @@ pub struct SnapshotInfo {
 /// the parent artifact's stem plus `-r<index>.dsnp`.
 #[must_use]
 pub fn snapshot_filename(key: &ArtifactKey, record_index: u64) -> String {
-    let base = key.filename();
-    let stem = base
-        .strip_suffix(&format!(".{}", dee_store::ARTIFACT_EXT))
-        .unwrap_or(&base);
-    format!("{stem}-r{record_index}.{SNAPSHOT_EXT}")
+    format!("{}-r{record_index}.{SNAPSHOT_EXT}", key.stem())
 }
 
 /// Parses the record index out of a snapshot filename belonging to
 /// `key`; `None` when the name is not one of `key`'s snapshots.
 #[must_use]
 pub fn parse_record_index(name: &str, key: &ArtifactKey) -> Option<u64> {
-    let base = key.filename();
-    let stem = base
-        .strip_suffix(&format!(".{}", dee_store::ARTIFACT_EXT))
-        .unwrap_or(&base);
-    let rest = name.strip_prefix(&format!("{stem}-r"))?;
+    let rest = name.strip_prefix(&format!("{}-r", key.stem()))?;
     let digits = rest.strip_suffix(&format!(".{SNAPSHOT_EXT}"))?;
     digits.parse().ok()
 }
@@ -245,14 +240,6 @@ pub fn publish_checkpoints(
     Ok(published)
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 fn put_section(out: &mut Vec<u8>, entries: &[(String, Vec<u8>)]) {
     put_u32(out, entries.len() as u32);
     for (name, blob) in entries {
@@ -264,63 +251,26 @@ fn put_section(out: &mut Vec<u8>, entries: &[(String, Vec<u8>)]) {
     }
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Reads a `u32` count or length, capped at [`MAX_SECTION`].
+fn counted(cur: &mut Cursor<'_>, what: &str) -> Result<usize, String> {
+    let n = cur.u32()? as usize;
+    if n > MAX_SECTION {
+        return Err(format!("snapshot {what} count {n} implausibly large"));
+    }
+    Ok(n)
 }
 
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
+fn section(cur: &mut Cursor<'_>, what: &str) -> Result<Vec<(String, Vec<u8>)>, String> {
+    let count = counted(cur, what)?;
+    let mut entries = Vec::with_capacity(count.min(64));
+    for _ in 0..count {
+        let name_len = cur.u8()? as usize;
+        let name = String::from_utf8(cur.take(name_len)?.to_vec())
+            .map_err(|_| format!("snapshot {what} name not utf-8"))?;
+        let blob_len = counted(cur, what)?;
+        entries.push((name, cur.take(blob_len)?.to_vec()));
     }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| "snapshot truncated".to_string())?;
-        let run = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(run)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn i32(&mut self) -> Result<i32, String> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn counted(&mut self, what: &str) -> Result<usize, String> {
-        let n = self.u32()? as usize;
-        if n > MAX_SECTION {
-            return Err(format!("snapshot {what} count {n} implausibly large"));
-        }
-        Ok(n)
-    }
-
-    fn section(&mut self, what: &str) -> Result<Vec<(String, Vec<u8>)>, String> {
-        let count = self.counted(what)?;
-        let mut entries = Vec::with_capacity(count.min(64));
-        for _ in 0..count {
-            let name_len = self.u8()? as usize;
-            let name = String::from_utf8(self.take(name_len)?.to_vec())
-                .map_err(|_| format!("snapshot {what} name not utf-8"))?;
-            let blob_len = self.counted(what)?;
-            entries.push((name, self.take(blob_len)?.to_vec()));
-        }
-        Ok(entries)
-    }
+    Ok(entries)
 }
 
 impl Snapshot {
@@ -329,45 +279,42 @@ impl Snapshot {
     /// from, zero-extended to the machine's memory size).
     #[must_use]
     pub fn encode(&self, initial_memory: &[i32]) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(SNAPSHOT_MAGIC);
-        put_u32(&mut out, SNAP_VERSION);
-        put_u32(&mut out, self.trace_format_version);
-        put_u64(&mut out, self.parent_digest);
-        put_u64(&mut out, self.record_index);
+        let mut body = Vec::new();
+        put_u32(&mut body, SNAP_VERSION);
+        put_u32(&mut body, self.trace_format_version);
+        put_u64(&mut body, self.parent_digest);
+        put_u64(&mut body, self.record_index);
         let m = &self.machine;
-        put_u32(&mut out, m.regs.len() as u32);
+        put_u32(&mut body, m.regs.len() as u32);
         for &r in &m.regs {
-            out.extend_from_slice(&r.to_le_bytes());
+            put_i32(&mut body, r);
         }
-        put_u32(&mut out, m.pc);
-        out.push(u8::from(m.halted));
-        put_u32(&mut out, m.depth);
-        put_u64(&mut out, m.executed);
-        put_u32(&mut out, m.output.len() as u32);
+        put_u32(&mut body, m.pc);
+        body.push(u8::from(m.halted));
+        put_u32(&mut body, m.depth);
+        put_u64(&mut body, m.executed);
+        put_u32(&mut body, m.output.len() as u32);
         for &w in &m.output {
-            out.extend_from_slice(&w.to_le_bytes());
+            put_i32(&mut body, w);
         }
-        put_u32(&mut out, m.mem.len() as u32);
+        put_u32(&mut body, m.mem.len() as u32);
         let mut dirty = 0u32;
         let mut delta = Vec::new();
         for (i, &word) in m.mem.iter().enumerate() {
             let base = initial_memory.get(i).copied().unwrap_or(0);
             if word != base {
                 dirty += 1;
-                delta.extend_from_slice(&(i as u32).to_le_bytes());
-                delta.extend_from_slice(&(word ^ base).to_le_bytes());
+                put_u32(&mut delta, i as u32);
+                put_i32(&mut delta, word ^ base);
             }
         }
-        put_u32(&mut out, dirty);
+        put_u32(&mut body, dirty);
         let encoded = compress(&delta);
-        put_u32(&mut out, encoded.len() as u32);
-        out.extend_from_slice(&encoded);
-        put_section(&mut out, &self.predictors);
-        put_section(&mut out, &self.prng_streams);
-        let sum = checksum64(&out);
-        put_u64(&mut out, sum);
-        out
+        put_u32(&mut body, encoded.len() as u32);
+        body.extend_from_slice(&encoded);
+        put_section(&mut body, &self.predictors);
+        put_section(&mut body, &self.prng_streams);
+        seal(SNAPSHOT_MAGIC, &body)
     }
 
     /// Decodes and fully validates a snapshot, reconstructing the memory
@@ -378,9 +325,40 @@ impl Snapshot {
     /// A human-readable description of the first framing or layout
     /// problem; callers treat any error as corruption (quarantine).
     pub fn decode(bytes: &[u8], initial_memory: &[i32]) -> Result<Snapshot, String> {
-        verify_snapshot_bytes(bytes)?;
-        let body = &bytes[SNAPSHOT_MAGIC.len()..bytes.len() - 8];
-        let mut cur = Cursor::new(body);
+        let mut snapshot = Snapshot::parse(bytes)?;
+        for (word, &base) in snapshot.machine.mem.iter_mut().zip(initial_memory) {
+            *word ^= base;
+        }
+        Ok(snapshot)
+    }
+
+    /// Reads header-level facts without the parent's initial memory
+    /// image — the `dee snap info` and `dee snap verify` path. It
+    /// validates exactly what [`Snapshot::decode`] validates.
+    ///
+    /// # Errors
+    ///
+    /// As [`Snapshot::decode`].
+    pub fn info(bytes: &[u8]) -> Result<SnapshotInfo, String> {
+        let snapshot = Snapshot::parse(bytes)?;
+        let m = &snapshot.machine;
+        Ok(SnapshotInfo {
+            trace_format_version: snapshot.trace_format_version,
+            parent_digest: snapshot.parent_digest,
+            record_index: snapshot.record_index,
+            mem_words: m.mem.len() as u32,
+            executed: m.executed,
+            output_words: m.output.len() as u32,
+            halted: m.halted,
+            predictors: snapshot.predictors.into_iter().map(|(n, _)| n).collect(),
+        })
+    }
+
+    /// Checks the framing and every field of a snapshot. The memory
+    /// image comes back as the delta against an all-zero base, so
+    /// XOR-ing in the initial image completes it.
+    fn parse(bytes: &[u8]) -> Result<Snapshot, String> {
+        let mut cur = Cursor::new(open(SNAPSHOT_MAGIC, bytes)?);
         let version = cur.u32()?;
         if version != SNAP_VERSION {
             return Err(format!(
@@ -390,12 +368,13 @@ impl Snapshot {
         let trace_format_version = cur.u32()?;
         let parent_digest = cur.u64()?;
         let record_index = cur.u64()?;
-        let reg_count = cur.counted("register")?;
-        let mut reg_values = Vec::with_capacity(reg_count);
-        for _ in 0..reg_count {
-            reg_values.push(cur.i32()?);
-        }
-        let regs = <[i32; dee_vm::MachineState::REG_COUNT]>::try_from(reg_values)
+        // Collecting through `Result` reserves nothing up front, so a
+        // forged count cannot force a large allocation.
+        let reg_count = counted(&mut cur, "register")?;
+        let regs: Vec<i32> = (0..reg_count)
+            .map(|_| cur.i32())
+            .collect::<Result<_, _>>()?;
+        let regs = <[i32; MachineState::REG_COUNT]>::try_from(regs)
             .map_err(|v: Vec<i32>| format!("snapshot has {} registers", v.len()))?;
         let pc = cur.u32()?;
         let halted = match cur.u8()? {
@@ -405,16 +384,14 @@ impl Snapshot {
         };
         let depth = cur.u32()?;
         let executed = cur.u64()?;
-        let output_len = cur.counted("output")?;
-        let mut output = Vec::with_capacity(output_len);
-        for _ in 0..output_len {
-            output.push(cur.i32()?);
-        }
-        let mem_words = cur.counted("memory")?;
-        let dirty = cur.counted("memory-dirty")?;
-        let enc_len = cur.counted("memory-delta")?;
-        let encoded = cur.take(enc_len)?;
-        let delta = decompress(encoded, dirty * 8)?;
+        let output_len = counted(&mut cur, "output")?;
+        let output = (0..output_len)
+            .map(|_| cur.i32())
+            .collect::<Result<_, _>>()?;
+        let mem_words = counted(&mut cur, "memory")?;
+        let dirty = counted(&mut cur, "memory-dirty")?;
+        let enc_len = counted(&mut cur, "memory-delta")?;
+        let delta = decompress(cur.take(enc_len)?, dirty * 8)?;
         if delta.len() != dirty * 8 {
             return Err(format!(
                 "memory delta decompressed to {} bytes, want {}",
@@ -422,13 +399,12 @@ impl Snapshot {
                 dirty * 8
             ));
         }
-        let mut mem: Vec<i32> = (0..mem_words)
-            .map(|i| initial_memory.get(i).copied().unwrap_or(0))
-            .collect();
+        let mut mem = vec![0; mem_words];
+        let mut pairs = Cursor::new(&delta);
         let mut last_index: Option<usize> = None;
-        for pair in delta.chunks_exact(8) {
-            let index = u32::from_le_bytes(pair[..4].try_into().expect("4 bytes")) as usize;
-            let xor = i32::from_le_bytes(pair[4..].try_into().expect("4 bytes"));
+        for _ in 0..dirty {
+            let index = pairs.u32()? as usize;
+            let xor = pairs.i32()?;
             if index >= mem_words {
                 return Err(format!("dirty word index {index} out of range"));
             }
@@ -436,14 +412,14 @@ impl Snapshot {
                 return Err("dirty word indexes not strictly increasing".to_string());
             }
             last_index = Some(index);
-            mem[index] ^= xor;
+            mem[index] = xor;
         }
-        let predictors = cur.section("predictor")?;
-        let prng_streams = cur.section("prng")?;
-        if cur.pos != body.len() {
+        let predictors = section(&mut cur, "predictor")?;
+        let prng_streams = section(&mut cur, "prng")?;
+        if cur.remaining() != 0 {
             return Err(format!(
                 "snapshot has {} trailing payload bytes",
-                body.len() - cur.pos
+                cur.remaining()
             ));
         }
         Ok(Snapshot {
@@ -461,54 +437,6 @@ impl Snapshot {
             },
             predictors,
             prng_streams,
-        })
-    }
-
-    /// Reads header-level facts without reconstructing the memory image
-    /// (no initial-memory needed) — the `dee snap info` path.
-    ///
-    /// # Errors
-    ///
-    /// As [`Snapshot::decode`].
-    pub fn info(bytes: &[u8]) -> Result<SnapshotInfo, String> {
-        verify_snapshot_bytes(bytes)?;
-        let body = &bytes[SNAPSHOT_MAGIC.len()..bytes.len() - 8];
-        let mut cur = Cursor::new(body);
-        let version = cur.u32()?;
-        if version != SNAP_VERSION {
-            return Err(format!(
-                "snapshot version {version} (this build reads v{SNAP_VERSION})"
-            ));
-        }
-        let trace_format_version = cur.u32()?;
-        let parent_digest = cur.u64()?;
-        let record_index = cur.u64()?;
-        let reg_count = cur.counted("register")?;
-        cur.take(reg_count * 4)?;
-        let _pc = cur.u32()?;
-        let halted = cur.u8()? != 0;
-        let _depth = cur.u32()?;
-        let executed = cur.u64()?;
-        let output_words = cur.counted("output")? as u32;
-        cur.take(output_words as usize * 4)?;
-        let mem_words = cur.counted("memory")? as u32;
-        let _dirty = cur.counted("memory-dirty")?;
-        let enc_len = cur.counted("memory-delta")?;
-        cur.take(enc_len)?;
-        let predictors = cur
-            .section("predictor")?
-            .into_iter()
-            .map(|(name, _)| name)
-            .collect();
-        Ok(SnapshotInfo {
-            trace_format_version,
-            parent_digest,
-            record_index,
-            mem_words,
-            executed,
-            output_words,
-            halted,
-            predictors,
         })
     }
 
@@ -577,7 +505,7 @@ mod tests {
         let snap = mid_run_snapshot(&initial);
         let bytes = snap.encode(&initial);
         assert_eq!(bytes, snap.encode(&initial), "encoding is deterministic");
-        verify_snapshot_bytes(&bytes).expect("store-level framing verifies");
+        dee_store::verify_snapshot_bytes(&bytes).expect("store-level framing verifies");
         let decoded = Snapshot::decode(&bytes, &initial).expect("decodes");
         assert_eq!(decoded, snap);
         let info = Snapshot::info(&bytes).expect("info reads");
@@ -717,6 +645,25 @@ mod tests {
         // Truncations too.
         for cut in [0, 7, 8, bytes.len() / 2, bytes.len() - 1] {
             assert!(Snapshot::decode(&bytes[..cut], &initial).is_err());
+        }
+    }
+
+    #[test]
+    fn info_rejects_what_decode_rejects() {
+        // Re-sealed bodies keep the framing intact, so only the layout
+        // checks can catch a halted byte of 2 or one trailing byte.
+        let initial = vec![1, 2, 3];
+        let bytes = mid_run_snapshot(&initial).encode(&initial);
+        let body = open(SNAPSHOT_MAGIC, &bytes).unwrap();
+        // version, trace format, parent digest, record index, reg count,
+        // registers, pc: the halted flag follows.
+        let mut bad_flag = body.to_vec();
+        bad_flag[4 + 4 + 8 + 8 + 4 + 4 * MachineState::REG_COUNT + 4] = 2;
+        for (what, bad) in [("flag", bad_flag), ("extra byte", [body, &[0]].concat())] {
+            let bad = seal(SNAPSHOT_MAGIC, &bad);
+            dee_store::verify_snapshot_bytes(&bad).expect("framing alone is intact");
+            assert!(Snapshot::decode(&bad, &initial).is_err(), "decode: {what}");
+            assert!(Snapshot::info(&bad).is_err(), "info: {what}");
         }
     }
 

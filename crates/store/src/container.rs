@@ -32,7 +32,8 @@
 
 use std::io::{self, Read, Seek, SeekFrom, Write};
 
-use crate::checksum::checksum64;
+use dee_vm::frame::{checksum64, put_u32, put_u64, Cursor};
+
 use crate::compress;
 
 /// Leading magic of every container file.
@@ -130,28 +131,24 @@ fn write_header(
 }
 
 fn read_header(source: &mut impl Read) -> io::Result<ContainerHeader> {
-    let mut magic = [0u8; 8];
-    source.read_exact(&mut magic)?;
-    if &magic != CONTAINER_MAGIC {
+    let mut header = [0u8; HEADER_BYTES as usize];
+    source.read_exact(&mut header)?;
+    let mut cur = Cursor::new(&header);
+    if cur.take(8)? != CONTAINER_MAGIC {
         return Err(invalid("bad container magic"));
     }
-    let mut word = [0u8; 4];
-    source.read_exact(&mut word)?;
-    let container_version = u32::from_le_bytes(word);
+    let container_version = cur.u32()?;
     if container_version != CONTAINER_VERSION {
         return Err(invalid(format!(
             "unsupported container version {container_version} (expected {CONTAINER_VERSION})"
         )));
     }
-    source.read_exact(&mut word)?;
-    let trace_format_version = u32::from_le_bytes(word);
-    source.read_exact(&mut word)?;
-    let chunk_size = u32::from_le_bytes(word);
+    let trace_format_version = cur.u32()?;
+    let chunk_size = cur.u32()?;
     if chunk_size == 0 || chunk_size > MAX_CHUNK_SIZE {
         return Err(invalid(format!("chunk size {chunk_size} out of range")));
     }
-    source.read_exact(&mut word)?;
-    if u32::from_le_bytes(word) != 0 {
+    if cur.u32()? != 0 {
         return Err(invalid("reserved header field is nonzero"));
     }
     Ok(ContainerHeader {
@@ -163,13 +160,13 @@ fn read_header(source: &mut impl Read) -> io::Result<ContainerHeader> {
 
 fn footer_body(chunks: &[ChunkEntry], total_raw: u64) -> Vec<u8> {
     let mut body = Vec::with_capacity(8 + chunks.len() * 16 + 8);
-    body.extend_from_slice(&(chunks.len() as u64).to_le_bytes());
+    put_u64(&mut body, chunks.len() as u64);
     for chunk in chunks {
-        body.extend_from_slice(&chunk.offset.to_le_bytes());
-        body.extend_from_slice(&chunk.raw_len.to_le_bytes());
-        body.extend_from_slice(&chunk.enc_len.to_le_bytes());
+        put_u64(&mut body, chunk.offset);
+        put_u32(&mut body, chunk.raw_len);
+        put_u32(&mut body, chunk.enc_len);
     }
-    body.extend_from_slice(&total_raw.to_le_bytes());
+    put_u64(&mut body, total_raw);
     body
 }
 
@@ -337,18 +334,6 @@ impl<R: Read> ContainerReader<R> {
         &self.header
     }
 
-    /// Chunks decoded so far.
-    #[must_use]
-    pub fn chunks_read(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// Payload bytes decoded so far.
-    #[must_use]
-    pub fn raw_bytes_read(&self) -> u64 {
-        self.total_raw
-    }
-
     /// Loads and verifies the next frame. Returns `false` once the footer
     /// has been verified (payload exhausted).
     fn refill(&mut self) -> io::Result<bool> {
@@ -361,24 +346,16 @@ impl<R: Read> ContainerReader<R> {
             .map_err(|e| eof_is_corrupt(e, "frame tag (footer missing)"))?;
         match tag[0] {
             TAG_CHUNK => {
-                let mut word = [0u8; 4];
+                // raw_len(4) enc_len(4) encoding(1) checksum(8).
+                let mut head = [0u8; 17];
                 self.source
-                    .read_exact(&mut word)
+                    .read_exact(&mut head)
                     .map_err(|e| eof_is_corrupt(e, "chunk header"))?;
-                let raw_len = u32::from_le_bytes(word);
-                self.source
-                    .read_exact(&mut word)
-                    .map_err(|e| eof_is_corrupt(e, "chunk header"))?;
-                let enc_len = u32::from_le_bytes(word);
-                let mut enc_byte = [0u8; 1];
-                self.source
-                    .read_exact(&mut enc_byte)
-                    .map_err(|e| eof_is_corrupt(e, "chunk header"))?;
-                let mut sum = [0u8; 8];
-                self.source
-                    .read_exact(&mut sum)
-                    .map_err(|e| eof_is_corrupt(e, "chunk header"))?;
-                let declared = u64::from_le_bytes(sum);
+                let mut cur = Cursor::new(&head);
+                let raw_len = cur.u32()?;
+                let enc_len = cur.u32()?;
+                let encoding = cur.u8()?;
+                let declared = cur.u64()?;
                 if raw_len == 0 || raw_len > self.header.chunk_size {
                     return Err(invalid(format!("chunk raw length {raw_len} out of range")));
                 }
@@ -393,7 +370,7 @@ impl<R: Read> ContainerReader<R> {
                 self.source
                     .read_exact(&mut encoded)
                     .map_err(|e| eof_is_corrupt(e, "chunk payload"))?;
-                let raw = match enc_byte[0] {
+                let raw = match encoding {
                     ENC_RAW => {
                         if enc_len != raw_len {
                             return Err(invalid("raw-encoded chunk with mismatched lengths"));
@@ -440,24 +417,18 @@ impl<R: Read> ContainerReader<R> {
         if body != expected_body {
             return Err(invalid("footer index disagrees with the chunks read"));
         }
-        let mut word8 = [0u8; 8];
+        let mut trailer = [0u8; TRAILER_BYTES as usize];
         self.source
-            .read_exact(&mut word8)
+            .read_exact(&mut trailer)
             .map_err(|e| eof_is_corrupt(e, "footer trailer"))?;
-        if u64::from_le_bytes(word8) != checksum64(&body) {
+        let mut cur = Cursor::new(&trailer);
+        if cur.u64()? != checksum64(&body) {
             return Err(invalid("footer checksum mismatch"));
         }
-        self.source
-            .read_exact(&mut word8)
-            .map_err(|e| eof_is_corrupt(e, "footer trailer"))?;
-        if u64::from_le_bytes(word8) != footer_offset {
+        if cur.u64()? != footer_offset {
             return Err(invalid("footer offset mismatch"));
         }
-        let mut magic = [0u8; 8];
-        self.source
-            .read_exact(&mut magic)
-            .map_err(|e| eof_is_corrupt(e, "footer trailer"))?;
-        if &magic != END_MAGIC {
+        if cur.take(8)? != END_MAGIC {
             return Err(invalid("bad end magic"));
         }
         let mut probe = [0u8; 1];
@@ -506,20 +477,17 @@ pub fn read_info<R: Read + Seek>(mut source: R) -> io::Result<ContainerInfo> {
     source.seek(SeekFrom::Start(file_len - TRAILER_BYTES))?;
     let mut trailer = [0u8; TRAILER_BYTES as usize];
     source.read_exact(&mut trailer)?;
-    if &trailer[16..24] != END_MAGIC {
+    let mut cur = Cursor::new(&trailer);
+    let body_checksum = cur.u64()?;
+    let footer_offset = cur.u64()?;
+    if cur.take(8)? != END_MAGIC {
         return Err(invalid("bad end magic"));
     }
-    let body_checksum = u64::from_le_bytes(trailer[0..8].try_into().expect("8 bytes"));
-    let footer_offset = u64::from_le_bytes(trailer[8..16].try_into().expect("8 bytes"));
-    if footer_offset < HEADER_BYTES || footer_offset + 1 + TRAILER_BYTES > file_len {
-        return Err(invalid("footer offset out of range"));
-    }
+    // Room for at least the chunk count and the total length.
     let body_len = (file_len - TRAILER_BYTES)
-        .checked_sub(footer_offset + 1)
+        .checked_sub(footer_offset.saturating_add(1))
+        .filter(|&len| footer_offset >= HEADER_BYTES && len >= 16)
         .ok_or_else(|| invalid("footer offset out of range"))?;
-    if body_len < 16 || body_len > file_len {
-        return Err(invalid("footer body length out of range"));
-    }
     source.seek(SeekFrom::Start(footer_offset))?;
     let mut tag = [0u8; 1];
     source.read_exact(&mut tag)?;
@@ -531,21 +499,21 @@ pub fn read_info<R: Read + Seek>(mut source: R) -> io::Result<ContainerInfo> {
     if checksum64(&body) != body_checksum {
         return Err(invalid("footer checksum mismatch"));
     }
-    let chunk_count = u64::from_le_bytes(body[0..8].try_into().expect("8 bytes"));
-    if 8 + chunk_count.saturating_mul(16) + 8 != body_len {
+    let mut cur = Cursor::new(&body);
+    let chunk_count = cur.u64()?;
+    if chunk_count.checked_mul(16).and_then(|n| n.checked_add(16)) != Some(body_len) {
         return Err(invalid("footer body length disagrees with chunk count"));
     }
     let mut chunks = Vec::with_capacity(chunk_count.min(1 << 16) as usize);
-    let mut at = 8usize;
     for _ in 0..chunk_count {
         chunks.push(ChunkEntry {
-            offset: u64::from_le_bytes(body[at..at + 8].try_into().expect("8 bytes")),
-            raw_len: u32::from_le_bytes(body[at + 8..at + 12].try_into().expect("4 bytes")),
-            enc_len: u32::from_le_bytes(body[at + 12..at + 16].try_into().expect("4 bytes")),
+            offset: cur.u64()?,
+            raw_len: cur.u32()?,
+            enc_len: cur.u32()?,
         });
-        at += 16;
     }
-    let total_raw = u64::from_le_bytes(body[at..at + 8].try_into().expect("8 bytes"));
+    let total_raw = cur.u64()?;
+    cur.finish()?;
     Ok(ContainerInfo {
         header,
         chunks,
@@ -661,6 +629,24 @@ mod tests {
                 "cut {cut}"
             );
         }
+    }
+
+    #[test]
+    fn info_rejects_hostile_footer_fields_without_overflow() {
+        let container = build(&payload(3_000), 512);
+        let (len, at) = (container.len(), container.len() - 16);
+        for offset in [u64::MAX, u64::MAX - 3, 0, 23] {
+            let mut bad = container.clone();
+            bad[at..at + 8].copy_from_slice(&offset.to_le_bytes());
+            assert!(read_info(Cursor::new(&bad)).is_err(), "offset {offset}");
+        }
+        // A chunk count whose byte size overflows, under a valid checksum.
+        let footer = u64::from_le_bytes(container[at..at + 8].try_into().unwrap()) as usize;
+        let mut bad = container.clone();
+        bad[footer + 1..footer + 9].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        let sum = checksum64(&bad[footer + 1..len - 24]);
+        bad[len - 24..len - 16].copy_from_slice(&sum.to_le_bytes());
+        assert!(read_info(Cursor::new(&bad)).is_err());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! crate makes it a **record-once / replay-many** artifact:
 //!
 //! * [`container`] — the `DEESTOR1` chunked container format: per-chunk
-//!   hand-rolled 64-bit checksums ([`checksum64`]), hand-rolled
+//!   64-bit checksums ([`checksum64`], from [`dee_vm::frame`]), hand-rolled
 //!   byte-oriented LZ/RLE compression ([`compress`]/[`decompress`]), and
 //!   a seekable footer index, wrapping the existing `DEETRC1` trace
 //!   layout;
@@ -30,24 +30,24 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod checksum;
 mod compress;
 pub mod container;
 mod store;
 
-pub use checksum::checksum64;
 pub use compress::{compress, decompress};
 pub use container::{ContainerInfo, ContainerReader, ContainerWriter, DEFAULT_CHUNK_SIZE};
+pub use dee_vm::frame::{checksum64, fnv1a, fnv1a_words};
 pub use store::{
-    digest_file, fnv1a, fnv1a_words, fold_digests, info_file, valid_artifact_name, verify_file,
-    verify_snapshot_bytes, ArtifactKey, DigestEntry, GcReport, Store, StoreEntry, StoreError,
-    StoreReader, StoreSource, StoreStats, VerifyReport, ARTIFACT_EXT, SNAPSHOT_EXT, SNAPSHOT_MAGIC,
+    digest_file, fold_digests, info_file, valid_artifact_name, verify_file, verify_snapshot_bytes,
+    ArtifactKey, DigestEntry, GcReport, Store, StoreEntry, StoreError, StoreReader, StoreSource,
+    StoreStats, VerifyReport, ARTIFACT_EXT, SNAPSHOT_EXT, SNAPSHOT_MAGIC,
 };
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dee_isa::{Assembler, Reg};
+    use dee_vm::frame::seal;
     use dee_vm::{trace_program, Trace};
     use std::path::PathBuf;
 
@@ -73,14 +73,6 @@ mod tests {
         let trace = trace_program(&program, &[], 100_000).unwrap();
         let key = ArtifactKey::new("unit", &format!("n{n}"), &program.to_listing(), &[]);
         (trace, key)
-    }
-
-    #[test]
-    fn fnv_is_stable_and_distinguishes() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
-        assert_ne!(fnv1a_words(&[1, 2]), fnv1a_words(&[2, 1]));
-        assert_eq!(fnv1a_words(&[]), fnv1a(b""));
     }
 
     #[test]
@@ -310,21 +302,12 @@ mod tests {
         std::fs::remove_dir_all(dir_dst).ok();
     }
 
-    fn sample_snapshot(payload: &[u8]) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(SNAPSHOT_MAGIC);
-        bytes.extend_from_slice(payload);
-        let sum = checksum64(&bytes);
-        bytes.extend_from_slice(&sum.to_le_bytes());
-        bytes
-    }
-
     #[test]
     fn snapshot_put_load_round_trip_and_quarantine() {
         let dir = scratch("snapshot");
         let store = Store::open(&dir).unwrap();
         let name = "unit-tiny-v1-00000000000000aa-r4096.dsnp";
-        let bytes = sample_snapshot(b"snapshot-payload");
+        let bytes = seal(SNAPSHOT_MAGIC, b"snapshot-payload");
         assert!(store.load_snapshot(name).unwrap().is_none());
         store.put_snapshot(name, &bytes).unwrap();
         assert_eq!(store.load_snapshot(name).unwrap().unwrap(), bytes);
@@ -363,7 +346,7 @@ mod tests {
         let (trace, key) = sample_trace(14);
         store_a.put(&key, &trace).unwrap();
         let snap_name = "unit-tiny-v1-00000000000000bb-r0.dsnp";
-        let snap_bytes = sample_snapshot(b"state-at-zero");
+        let snap_bytes = seal(SNAPSHOT_MAGIC, b"state-at-zero");
         store_a.put_snapshot(snap_name, &snap_bytes).unwrap();
         let listing = store_a.digest_listing().unwrap();
         assert_eq!(listing.len(), 2, "trace and snapshot both advertised");
@@ -392,10 +375,10 @@ mod tests {
 
     #[test]
     fn verify_snapshot_bytes_rejects_bad_framing() {
-        assert!(verify_snapshot_bytes(&sample_snapshot(b"ok")).is_ok());
+        assert!(verify_snapshot_bytes(&seal(SNAPSHOT_MAGIC, b"ok")).is_ok());
         assert!(verify_snapshot_bytes(b"short").is_err());
         assert!(verify_snapshot_bytes(b"NOTSNAP_0123456789abcdef").is_err());
-        let mut flipped = sample_snapshot(b"payload");
+        let mut flipped = seal(SNAPSHOT_MAGIC, b"payload");
         let last = flipped.len() - 1;
         flipped[last] ^= 1;
         assert!(verify_snapshot_bytes(&flipped).is_err());

@@ -25,9 +25,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use dee_vm::frame::{self, checksum64, fnv1a, fnv1a_words};
 use dee_vm::{Trace, TraceChunkSource, TraceReader, TraceRecord, TRACE_FORMAT_VERSION};
 
-use crate::checksum::checksum64;
 use crate::container::{read_info, ContainerInfo, ContainerReader, ContainerWriter};
 
 /// File extension of published trace artifacts.
@@ -37,9 +37,10 @@ pub const ARTIFACT_EXT: &str = "dtrc";
 pub const SNAPSHOT_EXT: &str = "dsnp";
 
 /// Leading magic of a snapshot artifact. The store verifies snapshots
-/// generically — magic prefix plus trailing [`checksum64`] over the rest
-/// of the file — so it never needs to understand the snapshot payload
-/// (that lives in `dee-snap`, which depends on this crate).
+/// generically — the [`dee_vm::frame::seal`] framing, magic prefix plus
+/// trailing [`checksum64`] over the rest of the file — so it never needs
+/// to understand the snapshot payload (that lives in `dee-snap`, which
+/// depends on this crate).
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"DEESNAP1";
 
 /// Verifies a snapshot artifact's framing: the `DEESNAP1` magic and the
@@ -49,48 +50,8 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"DEESNAP1";
 ///
 /// A human-readable description of the first problem found.
 pub fn verify_snapshot_bytes(bytes: &[u8]) -> Result<(), String> {
-    if bytes.len() < SNAPSHOT_MAGIC.len() + 8 {
-        return Err(format!("snapshot too short ({} bytes)", bytes.len()));
-    }
-    if &bytes[..SNAPSHOT_MAGIC.len()] != SNAPSHOT_MAGIC {
-        return Err("bad snapshot magic".to_string());
-    }
-    let body_end = bytes.len() - 8;
-    let mut declared = [0u8; 8];
-    declared.copy_from_slice(&bytes[body_end..]);
-    let declared = u64::from_le_bytes(declared);
-    let actual = checksum64(&bytes[..body_end]);
-    if declared != actual {
-        return Err(format!(
-            "snapshot checksum mismatch: stored {declared:016x}, computed {actual:016x}"
-        ));
-    }
+    frame::open(SNAPSHOT_MAGIC, bytes)?;
     Ok(())
-}
-
-/// FNV-1a 64-bit hash — tiny, dependency-free, stable across runs. The
-/// artifact keys below and the serve cache keys both digest with it.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// FNV-1a over a word slice (little-endian), for input-memory images.
-#[must_use]
-pub fn fnv1a_words(words: &[i32]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &w in words {
-        for b in w.to_le_bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
 }
 
 /// Maps a label to the filename-safe alphabet `[a-z0-9_-]` (uppercase is
@@ -143,10 +104,15 @@ impl ArtifactKey {
     /// The artifact's filename inside the store root.
     #[must_use]
     pub fn filename(&self) -> String {
-        format!(
-            "{}-{}-v{}-{:016x}.{ARTIFACT_EXT}",
-            self.workload, self.scale, TRACE_FORMAT_VERSION, self.digest
-        )
+        format!("{}.{ARTIFACT_EXT}", self.stem())
+    }
+
+    /// The filename without its extension; the artifact's snapshots
+    /// publish as `<stem>-r<record>.dsnp` beside it.
+    #[must_use]
+    pub fn stem(&self) -> String {
+        let (workload, scale, digest) = (&self.workload, &self.scale, self.digest);
+        format!("{workload}-{scale}-v{TRACE_FORMAT_VERSION}-{digest:016x}")
     }
 }
 
@@ -343,6 +309,20 @@ pub fn valid_artifact_name(name: &str) -> bool {
             .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || "-_.".contains(c))
 }
 
+/// Rejects a name outside the published alphabet (or, for a snapshot,
+/// without the `.dsnp` extension) as `Io(InvalidInput)`, before it is
+/// ever resolved against the filesystem.
+fn check_name(name: &str, snapshot: bool) -> Result<(), StoreError> {
+    if valid_artifact_name(name) && (!snapshot || name.ends_with(&format!(".{SNAPSHOT_EXT}"))) {
+        return Ok(());
+    }
+    let what = if snapshot { "snapshot" } else { "artifact" };
+    Err(StoreError::Io(io::Error::new(
+        io::ErrorKind::InvalidInput,
+        format!("invalid {what} name `{name}`"),
+    )))
+}
+
 /// Digests one artifact file from its footer index: seeks to each
 /// chunk's declared raw checksum and folds them with [`checksum64`].
 /// Cost is one footer read plus one 8-byte read per chunk — no payload
@@ -451,14 +431,7 @@ impl Store {
     ///
     /// Propagates I/O failures; nothing is published on error.
     pub fn put(&self, key: &ArtifactKey, trace: &Trace) -> Result<PathBuf, StoreError> {
-        let unique = format!(
-            "{}.{}.{}.tmp",
-            key.filename(),
-            std::process::id(),
-            self.tmp_counter.fetch_add(1, Ordering::Relaxed)
-        );
-        let tmp_path = self.root.join("tmp").join(unique);
-        let publish = |tmp_path: &Path| -> io::Result<u64> {
+        let write = |tmp_path: &Path| -> io::Result<u64> {
             let file = File::create(tmp_path)?;
             let mut container = ContainerWriter::new(BufWriter::new(file), TRACE_FORMAT_VERSION)?;
             trace.write_to(&mut container)?;
@@ -467,18 +440,52 @@ impl Store {
             file.sync_all()?;
             Ok(file.metadata()?.len())
         };
-        match publish(&tmp_path) {
-            Ok(bytes) => {
-                let final_path = self.path_for(key);
-                fs::rename(&tmp_path, &final_path)?;
-                self.stats.writes.fetch_add(1, Ordering::Relaxed);
-                self.stats.bytes_written.fetch_add(bytes, Ordering::Relaxed);
-                Ok(final_path)
-            }
-            Err(e) => {
-                fs::remove_file(&tmp_path).ok();
-                Err(StoreError::Io(e))
-            }
+        self.publish(&key.filename(), write, |_| Ok(()))
+    }
+
+    /// Writes an artifact into `tmp/` with `write` (which fsyncs and
+    /// returns the byte count), checks the staged file with `verify`, and
+    /// renames it to `name`. The staged file is removed on any failure,
+    /// so nothing partial or unverified is ever published.
+    fn publish(
+        &self,
+        name: &str,
+        write: impl FnOnce(&Path) -> io::Result<u64>,
+        verify: impl FnOnce(&Path) -> Result<(), String>,
+    ) -> Result<PathBuf, StoreError> {
+        let unique = format!(
+            "{name}.{}.{}.tmp",
+            std::process::id(),
+            self.tmp_counter.fetch_add(1, Ordering::Relaxed)
+        );
+        let tmp_path = self.root.join("tmp").join(unique);
+        let final_path = self.root.join(name);
+        let staged = match write(&tmp_path) {
+            Ok(bytes) => verify(&tmp_path)
+                .map(|()| bytes)
+                .map_err(|detail| StoreError::Corrupt {
+                    path: final_path.clone(),
+                    detail,
+                    quarantined: None,
+                }),
+            Err(e) => Err(StoreError::Io(e)),
+        };
+        if staged.is_err() {
+            fs::remove_file(&tmp_path).ok();
+        }
+        let bytes = staged?;
+        fs::rename(&tmp_path, &final_path)?;
+        self.stats.writes.fetch_add(1, Ordering::Relaxed);
+        self.stats.bytes_written.fetch_add(bytes, Ordering::Relaxed);
+        Ok(final_path)
+    }
+
+    /// A staging writer for artifact bytes already in memory.
+    fn write_synced(bytes: &[u8]) -> impl FnOnce(&Path) -> io::Result<u64> + '_ {
+        move |tmp_path| {
+            fs::write(tmp_path, bytes)?;
+            File::open(tmp_path)?.sync_all()?;
+            Ok(bytes.len() as u64)
         }
     }
 
@@ -699,12 +706,7 @@ impl Store {
     /// alphabet is rejected as `Io(InvalidInput)` (never resolved against
     /// the filesystem).
     pub fn artifact_bytes(&self, name: &str) -> Result<Option<Vec<u8>>, StoreError> {
-        if !valid_artifact_name(name) {
-            return Err(StoreError::Io(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("invalid artifact name `{name}`"),
-            )));
-        }
+        check_name(name, false)?;
         match fs::read(self.root.join(name)) {
             Ok(bytes) => Ok(Some(bytes)),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
@@ -726,55 +728,24 @@ impl Store {
     /// is published), [`StoreError::Io`] on invalid names or I/O
     /// failures.
     pub fn install_artifact(&self, name: &str, bytes: &[u8]) -> Result<bool, StoreError> {
-        if !valid_artifact_name(name) {
-            return Err(StoreError::Io(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("invalid artifact name `{name}`"),
-            )));
-        }
-        let final_path = self.root.join(name);
-        if final_path.is_file() {
+        check_name(name, false)?;
+        if self.root.join(name).is_file() {
             return Ok(false);
         }
-        let unique = format!(
-            "{name}.{}.{}.tmp",
-            std::process::id(),
-            self.tmp_counter.fetch_add(1, Ordering::Relaxed)
-        );
-        let tmp_path = self.root.join("tmp").join(unique);
-        let stage = |tmp_path: &Path| -> io::Result<()> {
-            fs::write(tmp_path, bytes)?;
-            File::open(tmp_path)?.sync_all()?;
-            Ok(())
+        let verify = |tmp_path: &Path| {
+            if name.ends_with(&format!(".{SNAPSHOT_EXT}")) {
+                verify_snapshot_bytes(bytes)
+            } else {
+                verify_file(tmp_path).map(|_| ())
+            }
         };
-        if let Err(e) = stage(&tmp_path) {
-            fs::remove_file(&tmp_path).ok();
-            return Err(StoreError::Io(e));
-        }
-        let verdict = if name.ends_with(&format!(".{SNAPSHOT_EXT}")) {
-            verify_snapshot_bytes(bytes)
-        } else {
-            verify_file(&tmp_path).map(|_| ())
-        };
-        if let Err(detail) = verdict {
-            fs::remove_file(&tmp_path).ok();
-            return Err(StoreError::Corrupt {
-                path: final_path,
-                detail,
-                quarantined: None,
-            });
-        }
-        fs::rename(&tmp_path, &final_path)?;
-        self.stats.writes.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_written
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        self.publish(name, Self::write_synced(bytes), verify)?;
         Ok(true)
     }
 
     /// Publishes snapshot bytes under `name` (a `.dsnp` filename built by
-    /// `dee-snap`), atomically: write to `tmp/`, verify the generic
-    /// snapshot framing, fsync, rename. Snapshot content is deterministic
+    /// `dee-snap`), atomically: write to `tmp/` and fsync, verify the
+    /// generic snapshot framing, rename. Snapshot content is deterministic
     /// for a given (artifact, record index), so overwriting an existing
     /// name installs identical bytes.
     ///
@@ -784,41 +755,10 @@ impl Store {
     /// [`StoreError::Corrupt`] when the bytes fail framing verification
     /// (nothing is published), [`StoreError::Io`] on I/O failures.
     pub fn put_snapshot(&self, name: &str, bytes: &[u8]) -> Result<PathBuf, StoreError> {
-        if !valid_artifact_name(name) || !name.ends_with(&format!(".{SNAPSHOT_EXT}")) {
-            return Err(StoreError::Io(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("invalid snapshot name `{name}`"),
-            )));
-        }
-        let final_path = self.root.join(name);
-        if let Err(detail) = verify_snapshot_bytes(bytes) {
-            return Err(StoreError::Corrupt {
-                path: final_path,
-                detail,
-                quarantined: None,
-            });
-        }
-        let unique = format!(
-            "{name}.{}.{}.tmp",
-            std::process::id(),
-            self.tmp_counter.fetch_add(1, Ordering::Relaxed)
-        );
-        let tmp_path = self.root.join("tmp").join(unique);
-        let stage = |tmp_path: &Path| -> io::Result<()> {
-            fs::write(tmp_path, bytes)?;
-            File::open(tmp_path)?.sync_all()?;
-            Ok(())
-        };
-        if let Err(e) = stage(&tmp_path) {
-            fs::remove_file(&tmp_path).ok();
-            return Err(StoreError::Io(e));
-        }
-        fs::rename(&tmp_path, &final_path)?;
-        self.stats.writes.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_written
-            .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-        Ok(final_path)
+        check_name(name, true)?;
+        self.publish(name, Self::write_synced(bytes), |_| {
+            verify_snapshot_bytes(bytes)
+        })
     }
 
     /// Loads and frame-verifies a published snapshot. `Ok(None)` when
@@ -832,12 +772,7 @@ impl Store {
     /// `Io(InvalidInput)` on an invalid name, [`StoreError::Corrupt`] on
     /// verification failure, [`StoreError::Io`] otherwise.
     pub fn load_snapshot(&self, name: &str) -> Result<Option<Vec<u8>>, StoreError> {
-        if !valid_artifact_name(name) || !name.ends_with(&format!(".{SNAPSHOT_EXT}")) {
-            return Err(StoreError::Io(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("invalid snapshot name `{name}`"),
-            )));
-        }
+        check_name(name, true)?;
         let path = self.root.join(name);
         let bytes = match fs::read(&path) {
             Ok(bytes) => bytes,

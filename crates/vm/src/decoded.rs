@@ -38,6 +38,7 @@ use std::str::FromStr;
 
 use dee_isa::{AluOp, BranchCond, Instr, Program, Reg};
 
+use crate::frame::{fnv1a_extend, FNV1A_BASIS};
 use crate::machine::{Machine, RunResult, VmError};
 use crate::trace::{trace_program, BranchOutcome, Trace, TraceRecord};
 
@@ -609,13 +610,8 @@ pub(crate) fn state_digest_parts(
     output: &[i32],
     mem: &[i32],
 ) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |word: u64| {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut hash = FNV1A_BASIS;
+    let mut mix = |word: u64| hash = fnv1a_extend(hash, &word.to_le_bytes());
     for i in 0..Reg::COUNT {
         mix(reg(i) as u32 as u64);
     }

@@ -11,7 +11,10 @@
 //!   read/written, memory words read/written, branch outcome, call depth;
 //! * [`Trace`] — a captured run plus derived statistics (branch counts,
 //!   taken rate, branch-path lengths), the input to the
-//!   `dee-ilpsim` models and the `dee-predict` accuracy harness.
+//!   `dee-ilpsim` models and the `dee-predict` accuracy harness;
+//! * [`frame`] — the checksums, digests, framing and byte cursor that
+//!   every checksummed artifact (`DEESTOR1`, `DEESNAP1`, `DEEPLAN1`) is
+//!   built from.
 //!
 //! All instructions have unit latency and there are no exceptions, matching
 //! the paper's machine assumptions (§5.1).
@@ -43,6 +46,7 @@
 
 mod chunk;
 mod decoded;
+pub mod frame;
 mod machine;
 mod serialize;
 mod trace;
@@ -52,6 +56,7 @@ pub use decoded::{
     trace_decoded, trace_program_decoded, trace_program_with, DecodeError, DecodedMachine,
     DecodedProgram, Engine, JrTable, ParseEngineError,
 };
+pub use frame::fnv1a_words as output_checksum;
 pub use machine::{Machine, MachineState, RunResult, StepOutcome, VmError, DEFAULT_MEM_WORDS};
 pub use serialize::{TraceReader, RECORD_BYTES, TRACE_FORMAT_VERSION};
-pub use trace::{output_checksum, trace_program, BranchOutcome, Trace, TraceRecord};
+pub use trace::{trace_program, BranchOutcome, Trace, TraceRecord};

@@ -152,12 +152,6 @@ impl<R: Read> TraceReader<R> {
         self.total_records
     }
 
-    /// Records not yet consumed.
-    #[must_use]
-    pub fn records_remaining(&self) -> u64 {
-        self.remaining_records
-    }
-
     /// Yields the next record, or `None` once all records are consumed.
     ///
     /// # Errors
@@ -218,20 +212,6 @@ impl<R: Read> TraceReader<R> {
                 "output stream not consumed before end check",
             ));
         }
-        let mut probe = [0u8; 1];
-        match self.reader.read(&mut probe) {
-            Ok(0) => Ok(()),
-            Ok(_) => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "trailing garbage after trace output stream",
-            )),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => self.expect_end_slow(),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Retry loop for the (rare) `Interrupted` case of `expect_end`.
-    fn expect_end_slow(mut self) -> io::Result<()> {
         let mut probe = [0u8; 1];
         loop {
             match self.reader.read(&mut probe) {

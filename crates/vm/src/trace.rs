@@ -153,22 +153,8 @@ impl Trace {
     /// across execution engines.
     #[must_use]
     pub fn output_checksum(&self) -> u64 {
-        output_checksum(&self.output)
+        crate::frame::fnv1a_words(&self.output)
     }
-}
-
-/// FNV-1a over the output words; used to validate that different execution
-/// engines (functional VM, Levo model) computed identical results.
-#[must_use]
-pub fn output_checksum(output: &[i32]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &word in output {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
 }
 
 /// Runs `program` on a fresh [`Machine`] with `initial_memory` loaded at
@@ -298,16 +284,6 @@ mod tests {
         let t = trace_program(&p, &[10, 20, 30], 10).unwrap();
         assert_eq!(t.output(), &[30]);
         assert_eq!(t.records()[0].mem_read, Some(2));
-    }
-
-    #[test]
-    fn checksum_stable_and_discriminating() {
-        let a = output_checksum(&[1, 2, 3]);
-        let b = output_checksum(&[1, 2, 3]);
-        let c = output_checksum(&[3, 2, 1]);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_ne!(output_checksum(&[]), output_checksum(&[0]));
     }
 
     #[test]

@@ -380,11 +380,8 @@ fn analyze_plan(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn model_by_name(name: &str) -> Option<Model> {
-    Model::all_constrained()
-        .into_iter()
-        .chain([Model::Oracle])
-        .find(|m| m.name().eq_ignore_ascii_case(name))
+fn model_by_name(name: &str) -> Result<Model, String> {
+    Model::parse(name).ok_or_else(|| format!("unknown model `{name}`"))
 }
 
 fn workload_scale(name: &str) -> Result<dee::workloads::Scale, String> {
@@ -510,12 +507,11 @@ fn snap_info(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `dee snap verify <file.dsnp>` — magic, trailing checksum, and full
-/// section-layout check.
+/// `dee snap verify <file.dsnp>` — magic, trailing checksum, and the
+/// full field-by-field check `Snapshot::decode` makes.
 fn snap_verify(args: &[String]) -> Result<(), String> {
     let path = args.get(2).ok_or("missing snapshot path")?;
     let bytes = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
-    dee::store::verify_snapshot_bytes(&bytes)?;
     let info = dee::snap::Snapshot::info(&bytes)?;
     println!(
         "{path}: ok — record {}, parent {:016x}, {} byte(s)",
@@ -745,13 +741,8 @@ fn run(args: &[String]) -> Result<(), String> {
             let p = prepared.accuracy();
             println!("2-bit counter accuracy: {:.1}%", p * 100.0);
             let models: Vec<Model> = match &options.model {
-                Some(name) => {
-                    vec![model_by_name(name).ok_or_else(|| format!("unknown model `{name}`"))?]
-                }
-                None => Model::all_constrained()
-                    .into_iter()
-                    .chain([Model::Oracle])
-                    .collect(),
+                Some(name) => vec![model_by_name(name)?],
+                None => Model::all().to_vec(),
             };
             for model in models {
                 let out = simulate(&prepared, &SimConfig::new(model, options.et).with_p(p));
@@ -869,13 +860,8 @@ fn run(args: &[String]) -> Result<(), String> {
             let prepared = PreparedTrace::new(&program, &trace);
             let p = prepared.accuracy();
             let models: Vec<Model> = match &options.model {
-                Some(name) => {
-                    vec![model_by_name(name).ok_or_else(|| format!("unknown model `{name}`"))?]
-                }
-                None => Model::all_constrained()
-                    .into_iter()
-                    .chain([Model::Oracle])
-                    .collect(),
+                Some(name) => vec![model_by_name(name)?],
+                None => Model::all().to_vec(),
             };
             for model in models {
                 let out = simulate(&prepared, &SimConfig::new(model, options.et).with_p(p));
@@ -1119,10 +1105,12 @@ mod tests {
 
     #[test]
     fn model_names_resolve_case_insensitively() {
-        assert_eq!(model_by_name("dee-cd-mf"), Some(Model::DeeCdMf));
-        assert_eq!(model_by_name("SP"), Some(Model::Sp));
-        assert_eq!(model_by_name("oracle"), Some(Model::Oracle));
-        assert_eq!(model_by_name("warp"), None);
+        assert_eq!(model_by_name("dee-cd-mf"), Ok(Model::DeeCdMf));
+        assert_eq!(model_by_name("oracle"), Ok(Model::Oracle));
+        assert_eq!(
+            model_by_name("warp"),
+            Err("unknown model `warp`".to_string())
+        );
     }
 
     #[test]
@@ -1316,6 +1304,20 @@ mod tests {
         let snapshot_s = snapshots[0].to_string_lossy().to_string();
         run(&strings(&["snap", "info", &snapshot_s])).unwrap();
         run(&strings(&["snap", "verify", &snapshot_s])).unwrap();
+        // Intact framing around a body that decode rejects — a halted
+        // byte of 2, one trailing payload byte — fails info and verify.
+        let magic = dee::store::SNAPSHOT_MAGIC;
+        let bytes = std::fs::read(&snapshots[0]).unwrap();
+        let body = dee::vm::frame::open(magic, &bytes).unwrap();
+        let mut bad_flag = body.to_vec();
+        bad_flag[4 + 4 + 8 + 8 + 4 + 4 * dee::vm::MachineState::REG_COUNT + 4] = 2;
+        for (name, bad_body) in [("flag", bad_flag), ("extra", [body, &[0]].concat())] {
+            let path = dir.join(format!("{name}.dsnp"));
+            std::fs::write(&path, dee::vm::frame::seal(magic, &bad_body)).unwrap();
+            let path = path.to_string_lossy().to_string();
+            assert!(run(&strings(&["snap", "info", &path])).is_err(), "{name}");
+            assert!(run(&strings(&["snap", "verify", &path])).is_err(), "{name}");
+        }
         // A corrupted snapshot fails verification with a typed error.
         let mut bytes = std::fs::read(&snapshots[0]).unwrap();
         let mid = bytes.len() / 2;
